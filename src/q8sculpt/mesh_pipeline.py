@@ -18,7 +18,7 @@ import numpy as np
 from .quat import Q8Element, Q8_ELEMENTS, q8_right_matrix_int
 from .projection import Pole, PoleProximityError, POLE_PROXIMITY_TOL, radial_to_s3, stereo_project
 from .blocks import contact_transfer_matrix
-from .symmetry import match_point_sets
+from .symmetry import _dedup, _pairs_within, match_point_sets
 
 SEED_DOMAIN_TOL = 1e-9
 CONTACT_TOL = 1e-6
@@ -289,29 +289,24 @@ class ContactReport:
         }
 
 
-def _dedup_points(points: np.ndarray, tol: float) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) <= tol for q in kept):
-            kept.append(p)
-    return np.array(kept).reshape(-1, 3)
-
-
 def face_contact_check(seed: Mesh, tol: float = CONTACT_TOL) -> ContactReport:
     """Verify the seed can connect to its transported copies through all six
     cube faces.
 
     For each axis, the vertices on the +face must map onto the vertices on
     the -face under that axis's :func:`~q8sculpt.blocks.contact_transfer_matrix`
-    (point sets compared within ``tol``); an axis with an empty contact set
-    fails, since nothing would physically connect there.
+    (point sets compared within ``tol``, after greedy dedup within ``tol``);
+    an axis with an empty contact set fails, since nothing would physically
+    connect there.  Two -face points closer than ``2 * tol`` make the
+    matching ambiguous and raise ValueError.
     """
     _check_seed_domain(seed)
     axes = []
     for axis, letter in enumerate("xyz"):
         coords = seed.vertices[:, axis]
-        plus = _dedup_points(seed.vertices[np.abs(coords - 1.0) <= tol], tol)
-        minus = _dedup_points(seed.vertices[np.abs(coords + 1.0) <= tol], tol)
+        plus = seed.vertices[np.abs(coords - 1.0) <= tol]
+        minus = seed.vertices[np.abs(coords + 1.0) <= tol]
+        plus, minus = plus[_dedup(plus, tol)], minus[_dedup(minus, tol)]
         if len(plus) == 0 or len(minus) == 0:
             axes.append(
                 AxisContact(letter, False, len(plus), len(minus), (), ())
@@ -319,24 +314,18 @@ def face_contact_check(seed: Mesh, tol: float = CONTACT_TOL) -> ContactReport:
             continue
         mapped = plus @ contact_transfer_matrix(axis)
         ok = len(mapped) == len(minus) and match_point_sets(mapped, minus, tol)
-        unmatched_plus: list[tuple[float, float, float]] = []
-        unmatched_minus: list[tuple[float, float, float]] = []
+        unmatched_plus = unmatched_minus = np.zeros((0, 3))
         if not ok:
-            dist = np.linalg.norm(mapped[:, None, :] - minus[None, :, :], axis=-1)
-            for row, p in enumerate(plus):
-                if not np.any(dist[row] <= tol):
-                    unmatched_plus.append(tuple(float(c) for c in p))
-            for col, p in enumerate(minus):
-                if not np.any(dist[:, col] <= tol):
-                    unmatched_minus.append(tuple(float(c) for c in p))
+            i, j = _pairs_within(mapped, minus, tol)
+            unmatched_plus, unmatched_minus = np.delete(plus, i, axis=0), np.delete(minus, j, axis=0)
         axes.append(
             AxisContact(
                 letter,
                 ok,
                 len(plus),
                 len(minus),
-                tuple(unmatched_plus),
-                tuple(unmatched_minus),
+                tuple(map(tuple, unmatched_plus.tolist())),
+                tuple(map(tuple, unmatched_minus.tolist())),
             )
         )
     return ContactReport(tuple(axes))
@@ -348,28 +337,7 @@ def orbit_cloud(seed: Mesh, dedup_tol: float = 1e-9) -> np.ndarray:
     _check_seed_domain(seed)
     lifted = radial_to_s3(seed.vertices)
     stacked = np.concatenate([lifted @ q8_right_matrix_int(g) for g in Q8_ELEMENTS])
-    cell = 2.0 * dedup_tol
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    kept: list[int] = []
-    keys = np.floor(stacked / cell).astype(np.int64)
-    for idx, key in enumerate(map(tuple, keys)):
-        duplicate = False
-        for probe in _neighbor_keys(key):
-            for other in buckets.get(probe, ()):
-                if np.linalg.norm(stacked[idx] - stacked[other]) <= dedup_tol:
-                    duplicate = True
-                    break
-            if duplicate:
-                break
-        if not duplicate:
-            buckets.setdefault(key, []).append(idx)
-            kept.append(idx)
-    return stacked[kept]
-
-
-def _neighbor_keys(key: tuple[int, ...]):
-    for delta in np.ndindex(*(3,) * len(key)):
-        yield tuple(k + d - 1 for k, d in zip(key, delta))
+    return stacked[_dedup(stacked, dedup_tol)]
 
 
 def demo_seed() -> Mesh:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -316,6 +316,3 @@ def verify_group_axioms(elements: Sequence[Q8Element]) -> bool:
             return False
     return True
 
-
-def elements_from_names(names: Iterable[str]) -> list[Q8Element]:
-    return [Q8Element.from_name(n) for n in names]

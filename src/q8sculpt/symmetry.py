@@ -9,7 +9,6 @@ maps the cloud bijectively onto itself within the tolerance.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -24,10 +23,6 @@ DEFAULT_TOL = 1e-6
 
 #: Canonical orientation-reversing signed permutation: negate the w axis.
 MIRROR_W = np.diag([-1, 1, 1, 1]).astype(np.int64)
-
-#: Greedy matching falls back to exact bipartite matching on at most this
-#: many ambiguous points.
-MAX_AMBIGUOUS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,126 +83,156 @@ class SymmetryReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def min_pairwise_distance(points: np.ndarray) -> float:
-    """Smallest distance between two distinct points (inf for one point)."""
+#: Candidate pairs the proximity kernel tests per block; bounds its working
+#: memory however many points fall within the radius.
+_BLOCK = 1 << 16
+
+
+def _cell_keys(cells: np.ndarray) -> np.ndarray:
+    """One int64 key per row of integer-valued cell indices (at most four
+    axes), each axis folded into 15 bits.  Indices 2**15 cells apart share a
+    key; that only adds candidates, which the distance test removes."""
+    folded = cells.astype(np.int64) & 0x7FFF
+    return (folded << (15 * np.arange(cells.shape[-1]))).sum(axis=-1)
+
+
+def _pair_blocks(source: np.ndarray, target: np.ndarray, r: float):
+    """:func:`_pairs_within`, yielded in blocks of at most about ``_BLOCK``
+    candidates each, for callers that reduce as they go."""
+    source = np.asarray(source, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    span = np.maximum(np.max(np.abs(source), initial=0.0), np.max(np.abs(target), initial=0.0))
+    if not (np.isfinite(span) and np.isfinite(r)):
+        raise ValueError("coordinates and tolerance must be finite")
+    resolution = max(1.0, float(span)) * 2.0**-50
+    if not r > resolution:
+        raise ValueError(
+            f"tolerance {r:.3g} is not above the float resolution ({resolution:.3g}) "
+            "of the coordinates"
+        )
+    cell = 2.0 * r
+    keys = _cell_keys(np.floor(target / cell))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    dim = source.shape[1]
+    corners = np.indices((2,) * dim).reshape(dim, -1).T
+    probes = _cell_keys(np.floor(source / cell - 0.5)[:, None, :] + corners).ravel()
+    start = np.searchsorted(keys, probes, "left")
+    count = np.searchsorted(keys, probes, "right") - start
+    cuts = np.searchsorted(np.cumsum(count), np.arange(_BLOCK, count.sum(), _BLOCK))
+    for lo, hi in zip([0, *cuts], [*cuts, len(probes)]):
+        c = count[lo:hi]
+        i = np.repeat(np.arange(lo, hi) // len(corners), c)
+        j = order[np.repeat(start[lo:hi] - np.cumsum(c) + c, c) + np.arange(c.sum())]
+        diff = source[i] - target[j]
+        near = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= r
+        yield i[near], j[near]
+
+
+def _pairs_within(source: np.ndarray, target: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with ||source[i] - target[j]|| <= r; i ascends.
+
+    The one proximity kernel: the well-posedness guard, candidate matching,
+    greedy dedup and the contact audit are all built on it.  Target points
+    are hashed to integer cells of side 2r and their keys sorted.  A point
+    within r of a query q is, on every axis, within half a cell of q, so it
+    lies in cell floor(q / 2r - 1/2) or the next one: the 2**d corner cells
+    (16 in 4-D, 8 in 3-D) are found with ``searchsorted`` and every
+    candidate in them gets the exact distance test.
+
+    Float resolution.  A coordinate of size x is only known to within an ulp,
+    about max(1, |x|) * 2**-52, and a distance test at a radius of a few ulps
+    decides rounding noise rather than geometry.  So ``r`` must exceed
+    max(1, max |coordinate|) * 2**-50, else ValueError.  The same floor keeps
+    every cell index below 2**49 in size: exact in float64, no int64
+    overflow.
+
+    Matching.  Suppose no two target points lie within 2r of each other (the
+    strict guard tol < separation / 2).  Then each source point has at most
+    one target within r, since two such targets t, t' would be within
+    ||t - s|| + ||s - t'|| <= 2r of each other.  The pairs therefore already
+    form a partial function from sources to targets, and a tolerance match
+    is a bijection exactly when every source has one hit and no target is
+    hit twice; there is no other assignment left to search for.  A count of
+    hits alone is not enough when the source is unguarded: two equal source
+    points can both hit one target.
+    """
+    i, j = zip(*_pair_blocks(source, target, r))
+    return np.concatenate(i), np.concatenate(j)
+
+
+def min_pairwise_distance(points: np.ndarray, within: float) -> float:
+    """Distance of the closest two distinct points, when they are at most
+    ``within`` apart; inf otherwise (and for one point)."""
     points = np.asarray(points, dtype=np.float64)
-    n = len(points)
-    if n < 2:
-        return float("inf")
     best = float("inf")
-    for start in range(0, n, 256):
-        block = points[start : start + 256]
-        d2 = np.sum((block[:, None, :] - points[None, :, :]) ** 2, axis=-1)
-        for row in range(len(block)):
-            d2[row, start + row] = np.inf
-        best = min(best, float(np.sqrt(np.min(d2))))
+    for i, j in _pair_blocks(points, points, within):
+        distinct = i != j
+        if np.any(distinct):
+            gaps = np.linalg.norm(points[i[distinct]] - points[j[distinct]], axis=1)
+            best = min(best, float(np.min(gaps)))
     return best
 
 
-class _GridIndex:
-    """Spatial hash over the target points with cell size 2*tol.
+def _is_bijection(source: np.ndarray, target: np.ndarray, tol: float) -> bool:
+    """True when source maps bijectively onto target within tol; the target
+    must be guarded (see :func:`_pairs_within`)."""
+    i, j = _pairs_within(source, target, tol)
+    return np.array_equal(i, np.arange(len(source))) and np.array_equal(
+        np.sort(j), np.arange(len(target))
+    )
 
-    Any point within tol of a query falls in one of at most two cells per
-    axis, so a lookup probes at most 2**dim buckets.
+
+def _carrying(points: np.ndarray, matrices: np.ndarray, target: np.ndarray, tol: float):
+    """Yield, in order, the index of each matrix that carries the points
+    bijectively onto the guarded target within tol.
+
+    A matrix can only do so if it sends point 0 within tol of a target
+    point; that test runs for every matrix at once, and only the hits are
+    matched in full, one at a time.
     """
-
-    def __init__(self, points: np.ndarray, tol: float):
-        self.points = np.asarray(points, dtype=np.float64)
-        self.tol = tol
-        self.cell = 2.0 * tol
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        keys = np.floor(self.points / self.cell).astype(np.int64)
-        for idx, key in enumerate(map(tuple, keys)):
-            buckets.setdefault(key, []).append(idx)
-        self.buckets = buckets
-
-    def near(self, p: np.ndarray) -> list[int]:
-        lo = np.floor((p - self.tol) / self.cell).astype(np.int64)
-        hi = np.floor((p + self.tol) / self.cell).astype(np.int64)
-        hits = []
-        for key in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-            for idx in self.buckets.get(key, ()):
-                if np.linalg.norm(self.points[idx] - p) <= self.tol:
-                    hits.append(idx)
-        return hits
+    if len(points):
+        hits = dict.fromkeys(_pairs_within(points[0] @ matrices, target, tol)[0].tolist())
+    else:
+        hits = range(len(matrices))
+    for k in hits:
+        if _is_bijection(points @ matrices[k], target, tol):
+            yield k
 
 
-def _perfect_matching(candidates: dict[int, list[int]]) -> bool:
-    """Kuhn's augmenting-path test for a perfect matching of the sources."""
-    matched_target: dict[int, int] = {}
-
-    def try_assign(source: int, banned: set[int]) -> bool:
-        for target in candidates[source]:
-            if target in banned:
-                continue
-            banned.add(target)
-            holder = matched_target.get(target)
-            if holder is None or try_assign(holder, banned):
-                matched_target[target] = source
-                return True
-        return False
-
-    for source in candidates:
-        if not try_assign(source, set()):
-            return False
-    return True
-
-
-def _matches_point_set(source: np.ndarray, index: _GridIndex) -> bool:
-    """True when source maps bijectively onto the indexed points within tol.
-
-    Greedy nearest-neighbour first; if that leaves collisions, the points
-    involved are re-matched exactly (bounded by MAX_AMBIGUOUS).
-    """
-    target = index.points
-    if len(source) != len(target):
-        return False
-    owner: dict[int, int] = {}  # target index -> source index
-    collided: set[int] = set()
-    hits_of: dict[int, list[int]] = {}
-    for i, p in enumerate(source):
-        hits = index.near(p)
-        if not hits:
-            return False
-        hits_of[i] = hits
-        best = min(hits, key=lambda idx: float(np.linalg.norm(target[idx] - p)))
-        if best in owner:
-            collided.add(i)
-            collided.add(owner[best])
-        else:
-            owner[best] = i
-    if not collided:
-        return True
-    if len(collided) > MAX_AMBIGUOUS:
-        return False
-    # Re-match the ambiguous sources over the targets they can still reach.
-    taken = {t for t, j in owner.items() if j not in collided}
-    candidates = {i: [t for t in hits_of[i] if t not in taken] for i in collided}
-    if any(not opts for opts in candidates.values()):
-        return False
-    return _perfect_matching(candidates)
+def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the points greedy dedup keeps: in order, a point is kept
+    unless an already kept point lies within tol.  On a line with points at
+    0, 0.6 tol and 1.2 tol, the first and the third are kept."""
+    i, j = _pairs_within(points, points, tol)
+    earlier = j < i
+    keep = np.ones(len(points), dtype=bool)
+    # i ascends, so each verdict read here is already final
+    for a, b in zip(i[earlier].tolist(), j[earlier].tolist()):
+        if keep[b]:
+            keep[a] = False
+    return np.flatnonzero(keep)
 
 
 def match_point_sets(source: np.ndarray, target: np.ndarray, tol: float) -> bool:
     """Bijective tolerance matching between two raw point arrays.
 
-    No well-posedness guard: thin wrapper for callers comparing sets that are
-    not sphere clouds (seed contact sets, fixtures).
+    For sets that are not sphere clouds (seed contact sets, fixtures).  The
+    target gets the well-posedness guard: ValueError when two of its points
+    lie within 2*tol, where the matching would be ambiguous.
     """
-    source = np.asarray(source, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if len(source) != len(target):
-        return False
-    return _matches_point_set(source, _GridIndex(target, tol))
+    _well_posed_tol(target, tol)
+    return _is_bijection(np.asarray(source, dtype=np.float64), target, tol)
 
 
 def _well_posed_tol(points: np.ndarray, tol: float) -> None:
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    separation = min_pairwise_distance(points)
-    if tol > 0.5 * separation:
+    separation = min_pairwise_distance(points, 2.0 * tol)
+    if tol >= 0.5 * separation:
         raise ValueError(
-            f"tolerance {tol} exceeds half the minimum pairwise distance "
+            f"tolerance {tol} is not below half the minimum pairwise distance "
             f"({separation / 2:.3g}); matching would be ill-posed"
         )
 
@@ -215,8 +240,7 @@ def _well_posed_tol(points: np.ndarray, tol: float) -> None:
 def invariant_under(cloud: PointCloud4, iso: Isometry4, tol: float = DEFAULT_TOL) -> bool:
     """True when the isometry maps the cloud onto itself within tol."""
     _well_posed_tol(cloud.points, tol)
-    index = _GridIndex(cloud.points, tol)
-    return _matches_point_set(cloud.points @ iso.m, index)
+    return _is_bijection(cloud.points @ iso.m, cloud.points, tol)
 
 
 def _q8_right_keys() -> frozenset[tuple[int, ...]]:
@@ -226,12 +250,9 @@ def _q8_right_keys() -> frozenset[tuple[int, ...]]:
 def surviving_candidates(cloud: PointCloud4, tol: float = DEFAULT_TOL) -> list[Isometry4]:
     """Filter the 384-candidate universe down to the cloud's symmetries."""
     _well_posed_tol(cloud.points, tol)
-    index = _GridIndex(cloud.points, tol)
-    survivors = []
-    for candidate in hyperoctahedral_candidates():
-        if _matches_point_set(cloud.points @ candidate.m, index):
-            survivors.append(candidate)
-    return survivors
+    candidates = hyperoctahedral_candidates()
+    matrices = np.stack([c.m for c in candidates])
+    return [candidates[k] for k in _carrying(cloud.points, matrices, cloud.points, tol)]
 
 
 def symmetry_group(cloud: PointCloud4, tol: float = DEFAULT_TOL) -> SymmetryReport:
@@ -262,14 +283,9 @@ def seed_asymmetry_check(points: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) array, got shape {points.shape}")
     _well_posed_tol(points, tol)
-    index = _GridIndex(points, tol)
     identity = np.eye(3, dtype=np.int64)
-    for candidate in signed_permutation_matrices(3):
-        if np.array_equal(candidate, identity):
-            continue
-        if _matches_point_set(points @ candidate, index):
-            return False
-    return True
+    others = [m for m in signed_permutation_matrices(3) if not np.array_equal(m, identity)]
+    return next(_carrying(points, np.stack(others), points, tol), None) is None
 
 
 def _conjugate_keys(g: np.ndarray, group: Sequence[np.ndarray]) -> frozenset:
@@ -292,12 +308,11 @@ def classify_chirality(
     fixed mirror ``MIRROR_W``.
     """
     _well_posed_tol(cloud.points, tol)
-    mirrored = cloud.points @ MIRROR_W
-    mirror_index = _GridIndex(mirrored, tol)
     preserving = [c for c in hyperoctahedral_candidates() if c.is_orientation_preserving]
-    for candidate in preserving:
-        if _matches_point_set(cloud.points @ candidate.m, mirror_index):
-            return "achiral"
+    matrices = np.stack([c.m for c in preserving])
+    # the mirror image keeps every pairwise distance, so the guard covers it
+    if next(_carrying(cloud.points, matrices, cloud.points @ MIRROR_W, tol), None) is not None:
+        return "achiral"
     if survivors is None:
         survivors = surviving_candidates(cloud, tol)
     group = [np.rint(s.m).astype(np.int64) for s in survivors]

@@ -3,10 +3,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from q8sculpt.blocks import contact_transfer_matrix
 from q8sculpt.cli import main
 from q8sculpt.hypercube import sixteen_cell
-from q8sculpt.mesh_pipeline import load_obj, write_obj, Mesh
+from q8sculpt.mesh_pipeline import load_obj, write_obj, Mesh, demo_seed, face_contact_check
 from q8sculpt.symmetry import PointCloud4
 
 
@@ -112,6 +114,33 @@ def test_stats_output(tmp_path, capsys):
 def test_missing_file_is_exit_2(capsys):
     assert run(["verify", "--cloud", "/nonexistent/cloud.json"]) == 2
     assert "q8sculpt: error: input-error:" in capsys.readouterr().err
+
+
+def test_tolerance_at_float_resolution_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    assert run(["generate", "--seed", "demo", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--cloud", str(out / "cloud.json"), "--tol", "1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("q8sculpt: error: input-error:") and "float resolution" in err
+    assert run(["check-seed", "--seed", "demo", "--tol", "1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("q8sculpt: error: input-error:") and "float resolution" in err
+
+
+def test_close_contact_points_are_exit_2(tmp_path, capsys):
+    """Two +x contacts 1.5 tol apart (and their -x images) leave the contact
+    matching ambiguous: an input error, not a verdict."""
+    demo = demo_seed()
+    extra = demo.vertices[3] + np.array([0.0, 1.5e-6, 0.0])
+    verts = np.concatenate([demo.vertices, [extra, extra @ contact_transfer_matrix(0)]])
+    seed = Mesh(verts, demo.triangles)
+    with pytest.raises(ValueError, match="ill-posed"):
+        face_contact_check(seed, 1e-6)
+    seed_path = tmp_path / "seed.obj"
+    seed_path.write_bytes(write_obj(seed))
+    assert run(["check-seed", "--seed", str(seed_path), "--tol", "1e-6"]) == 2
+    assert "input-error" in capsys.readouterr().err
 
 
 def test_malformed_obj_is_exit_2(tmp_path, capsys):

@@ -16,7 +16,6 @@ from q8sculpt.symmetry import (
     seed_asymmetry_check,
     surviving_candidates,
     symmetry_group,
-    _perfect_matching,
 )
 
 
@@ -52,6 +51,12 @@ def test_tolerance_guard_rejects_ill_posed():
     # min pairwise distance is sqrt(2); anything above half of that is refused
     with pytest.raises(ValueError, match="ill-posed"):
         invariant_under(cloud, Isometry4.from_matrix(np.eye(4)), tol=0.8)
+    # the guard is strict: at exactly half, two points could share a match
+    with pytest.raises(ValueError, match="ill-posed"):
+        invariant_under(cloud, Isometry4.from_matrix(np.eye(4)), tol=np.sqrt(2) / 2)
+    with pytest.raises(ValueError, match="ill-posed"):
+        symmetry_group(cloud, tol=np.sqrt(2) / 2)
+    assert len(surviving_candidates(cloud, tol=0.7)) == 384
     with pytest.raises(ValueError):
         invariant_under(cloud, Isometry4.from_matrix(np.eye(4)), tol=-1.0)
 
@@ -198,15 +203,10 @@ def test_point_cloud_validation():
 
 def test_min_pairwise_distance():
     pts = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
-    assert min_pairwise_distance(pts) == pytest.approx(1.0)
-    assert min_pairwise_distance(pts[:1]) == np.inf
-
-
-def test_perfect_matching_helper():
-    # two sources forced through a shared target: solvable one way
-    assert _perfect_matching({0: [0, 1], 1: [0]})
-    assert not _perfect_matching({0: [0], 1: [0]})
-    assert _perfect_matching({0: [2], 1: [0, 1], 2: [1]})
+    assert min_pairwise_distance(pts, 2.0) == pytest.approx(1.0)
+    assert min_pairwise_distance(pts[:1], 2.0) == np.inf
+    # the closest pair lies beyond the search radius
+    assert min_pairwise_distance(pts, 0.5) == np.inf
 
 
 def test_match_point_sets_requires_bijection():
@@ -214,3 +214,13 @@ def test_match_point_sets_requires_bijection():
     assert match_point_sets(src, src[::-1], 1e-9)
     assert not match_point_sets(src, np.array([[0.0, 0.0, 0.0], [9.0, 0.0, 0.0]]), 1e-9)
     assert not match_point_sets(src[:1], src, 1e-9)
+    # both sources hit the first target: two hits, but not a bijection
+    assert not match_point_sets(np.zeros((2, 3)), src, 1e-9)
+
+
+def test_match_point_sets_guards_its_target():
+    tol = 1e-6
+    target = np.array([[0.0, 0.0, 0.0], [1.5 * tol, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="ill-posed"):
+        match_point_sets(target, target, tol)
+
