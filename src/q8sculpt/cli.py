@@ -93,6 +93,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         scale = scale_for_min_feature(seed, pole, args.min_feature)
     bundle = generate_sculpture(seed, pole, scale)
+    merged_stats = feature_stats(bundle.merged)  # refuses degenerate edges before any write
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -139,7 +140,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             "file": merged_name,
             "vertices": bundle.merged.n_vertices,
             "triangles": bundle.merged.n_triangles,
-            "feature_stats": feature_stats(bundle.merged),
+            "feature_stats": merged_stats,
         },
         "parts": manifest_parts,
         "cloud_file": cloud_name,

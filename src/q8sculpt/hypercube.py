@@ -12,6 +12,7 @@ exactly the isometries of R^4 preserving the cell decomposition.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -93,14 +94,21 @@ def signed_permutation_matrices(n: int) -> list[np.ndarray]:
     return mats
 
 
+@functools.cache
+def _candidate_tuple() -> tuple[Isometry4, ...]:
+    return tuple(Isometry4.from_matrix(m) for m in signed_permutation_matrices(4))
+
+
 def hyperoctahedral_candidates() -> list[Isometry4]:
     """The 384 cell-decomposition-preserving isometries of S^3.
 
     These are the signed permutations of the four coordinates; the universe
     searched by the brute-force symmetry detector.  Contains the eight
-    right-multiplication matrices of the group.
+    right-multiplication matrices of the group.  The isometries are built on
+    the first call and shared (they are frozen, with read-only matrices);
+    each call returns a fresh list.
     """
-    return [Isometry4.from_matrix(m) for m in signed_permutation_matrices(4)]
+    return list(_candidate_tuple())
 
 
 def q8_right_isometries() -> list[Isometry4]:

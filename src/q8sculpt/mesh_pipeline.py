@@ -23,7 +23,15 @@ from .symmetry import _dedup, _pairs_within, match_point_sets
 SEED_DOMAIN_TOL = 1e-9
 CONTACT_TOL = 1e-6
 
+# Largest coordinate a binary STL record can hold.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 _STL_HEADER = b"q8sculpt binary STL".ljust(80, b"\0")
+# One STL record: normal, three vertices, attribute byte count (always 0).
+_STL_RECORD = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)), ("attribute", "<u2")])
+# Triangles (STL) and rows (OBJ) converted per pass; bounds the temporaries.
+_STL_BLOCK = 4096
+_OBJ_BLOCK = 1024
 
 
 class MeshFormatError(ValueError):
@@ -125,35 +133,41 @@ def write_obj(mesh: Mesh, comments: Iterable[str] = ()) -> bytes:
     """Emit OBJ text with vertices at nine significant digits."""
     if mesh.n_vertices == 0 or mesh.n_triangles == 0:
         raise ValueError("refusing to write an empty mesh")
-    lines = [f"# {c}" for c in comments]
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {float(x):.9g} {float(y):.9g} {float(z):.9g}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    chunks = [f"# {c}\n" for c in comments]
+    for start in range(0, mesh.n_vertices, _OBJ_BLOCK):
+        rows = mesh.vertices[start : start + _OBJ_BLOCK].tolist()
+        chunks.append("".join([f"v {x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in rows]))
+    for start in range(0, mesh.n_triangles, _OBJ_BLOCK):
+        rows = (mesh.triangles[start : start + _OBJ_BLOCK] + 1).tolist()
+        chunks.append("".join([f"f {a} {b} {c}\n" for a, b, c in rows]))
+    return "".join(chunks).encode("utf-8")
 
 
 def write_stl(mesh: Mesh) -> bytes:
     """Emit binary STL: 80-byte header, little-endian count, 50-byte records.
 
     Normals are recomputed from the vertex winding; zero-area triangles get a
-    zero normal.
+    zero normal.  Raises ValueError when a coordinate lies beyond the float32
+    range of the records.
     """
     if mesh.n_vertices == 0 or mesh.n_triangles == 0:
         raise ValueError("refusing to write an empty mesh")
-    out = bytearray(_STL_HEADER)
-    out += struct.pack("<I", mesh.n_triangles)
-    for a, b, c in mesh.triangles:
-        va, vb, vc = mesh.vertices[a], mesh.vertices[b], mesh.vertices[c]
-        normal = np.cross(vb - va, vc - va)
-        length = float(np.linalg.norm(normal))
-        if length > 0.0:
-            normal = normal / length
-        out += struct.pack("<3f", *normal)
-        out += struct.pack("<3f", *va)
-        out += struct.pack("<3f", *vb)
-        out += struct.pack("<3f", *vc)
-        out += struct.pack("<H", 0)
+    extent = float(np.max(np.abs(mesh.vertices)))
+    if extent > FLOAT32_MAX:
+        raise ValueError(f"coordinate {extent:.6g} exceeds the float32 range of binary STL")
+    n = mesh.n_triangles
+    head = _STL_HEADER + struct.pack("<I", n)
+    out = bytearray(len(head) + n * _STL_RECORD.itemsize)
+    out[: len(head)] = head
+    records = np.frombuffer(out, dtype=_STL_RECORD, offset=len(head))
+    for start in range(0, n, _STL_BLOCK):
+        tri = mesh.vertices[mesh.triangles[start : start + _STL_BLOCK]]
+        normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+        length = np.sqrt(np.einsum("ij,ij->i", normal, normal))[:, None]
+        np.divide(normal, length, out=normal, where=length > 0)
+        block = records[start : start + _STL_BLOCK]
+        block["normal"] = normal
+        block["vertices"] = tri
     return bytes(out)
 
 
@@ -219,15 +233,30 @@ def merge_meshes(meshes: Sequence[Mesh]) -> Mesh:
 
 def generate_sculpture(seed: Mesh, pole: Pole, scale: float = 1.0) -> SculptureBundle:
     """Transform the seed by all eight elements, in the fixed label order,
-    scale uniformly, and merge."""
+    scale uniformly, and merge.
+
+    Raises ValueError when the scale would put a coordinate beyond the
+    float32 range that a printed STL can hold.
+    """
     if not scale > 0:
         raise ValueError("scale must be positive")
-    parts = {g: transform_mesh(seed, g, pole).scaled(scale) for g in Q8_ELEMENTS}
+    unscaled = {g: transform_mesh(seed, g, pole) for g in Q8_ELEMENTS}
+    extent = max(float(np.max(np.abs(m.vertices))) for m in unscaled.values()) * scale
+    if not extent <= FLOAT32_MAX:
+        raise ValueError(
+            f"scale {scale:.6g} puts a coordinate at {extent:.6g}, "
+            f"beyond the float32 range {FLOAT32_MAX:.6g}"
+        )
+    parts = {g: m.scaled(scale) for g, m in unscaled.items()}
     return SculptureBundle(parts, merge_meshes(list(parts.values())), pole, scale)
 
 
 def feature_stats(mesh: Mesh) -> dict[str, float]:
-    """Minimum and maximum triangle edge length, and their ratio."""
+    """Minimum and maximum triangle edge length, and their ratio.
+
+    Raises ValueError when an edge has zero length (coincident vertices, or
+    a scale so small that the edge underflows), where the ratio is undefined.
+    """
     if mesh.n_triangles == 0:
         raise ValueError("feature statistics need a non-empty mesh")
     tri = mesh.vertices[mesh.triangles]
@@ -237,11 +266,10 @@ def feature_stats(mesh: Mesh) -> dict[str, float]:
     lengths = np.linalg.norm(edges, axis=1)
     min_edge = float(np.min(lengths))
     max_edge = float(np.max(lengths))
-    return {
-        "min_edge": min_edge,
-        "max_edge": max_edge,
-        "ratio": max_edge / min_edge if min_edge > 0 else float("inf"),
-    }
+    if min_edge == 0.0:
+        shortest = int(np.argmin(lengths)) % mesh.n_triangles
+        raise ValueError(f"triangle {shortest} has a zero-length edge")
+    return {"min_edge": min_edge, "max_edge": max_edge, "ratio": max_edge / min_edge}
 
 
 def scale_for_min_feature(seed: Mesh, pole: Pole, min_feature: float) -> float:

@@ -55,7 +55,7 @@ class PointCloud4:
         return cls(np.array(data["points"], dtype=np.float64))
 
     def to_json(self) -> str:
-        return json.dumps({"points": [[float(c) for c in p] for p in self.points]})
+        return json.dumps({"points": self.points.tolist()})
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,42 @@ def test_explicit_scale_skips_min_feature(tmp_path):
     assert manifest["min_feature"] is None
 
 
+@pytest.mark.parametrize("fmt, scale", [("stl", "1e39"), ("obj", "1e300")])
+def test_scale_beyond_float32_is_exit_2(tmp_path, capsys, fmt, scale):
+    out = tmp_path / "big"
+    assert run(["generate", "--seed", "demo", "--out", str(out), "--format", fmt, "--scale", scale]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("q8sculpt: error: input-error: scale")
+    assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite value {name} in JSON")
+
+
+def test_manifest_values_are_always_finite(tmp_path):
+    for fmt in ("obj", "stl"):
+        for scale in ("1e-300", "1", "1e30", "1e38", "1e39", "1e300"):
+            out = tmp_path / f"{fmt}-{scale}"
+            rc = run(["generate", "--seed", "demo", "--out", str(out), "--format", fmt, "--scale", scale])
+            if rc == 0:
+                json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+            else:
+                assert rc == 2 and not (out / "manifest.json").exists()
+
+
+def test_zero_length_edge_is_exit_2(tmp_path, capsys):
+    seed_path = tmp_path / "coincident.obj"
+    seed_path.write_text("v 0 0 0\nv 0.5 0 0\nv 0.5 0 0\nf 1 2 3\n")
+    for scale in ([], ["--scale", "2"]):
+        out = tmp_path / f"out{len(scale)}"
+        assert run(["generate", "--seed", str(seed_path), "--out", str(out), *scale]) == 2
+        assert not out.exists()
+    assert run(["stats", "--seed", str(seed_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["q8sculpt: error: input-error: triangle 0 has a zero-length edge"] * 3
+
+
 def test_console_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "q8sculpt", "cayley"],

@@ -100,6 +100,18 @@ def test_candidates_distinct_orthogonal_closed():
             assert matrix_key(p) in keys
 
 
+def test_candidate_lists_are_independent():
+    first = hyperoctahedral_candidates()
+    keys = [c.key() for c in first]
+    first.reverse()
+    del first[:100]
+    again = hyperoctahedral_candidates()
+    assert [c.key() for c in again] == keys
+    assert again is not hyperoctahedral_candidates()
+    with pytest.raises(ValueError):
+        again[0].m[0, 0] = 2.0  # shared matrices are read-only
+
+
 def test_candidates_contain_right_multiplications():
     keys = {c.key() for c in hyperoctahedral_candidates()}
     for iso in q8_right_isometries():

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from q8sculpt.blocks import contact_transfer_matrix
 from q8sculpt.hypercube import cells_of_points
 from q8sculpt.mesh_pipeline import (
+    FLOAT32_MAX,
     Mesh,
     MeshFormatError,
     demo_seed,
@@ -23,7 +25,7 @@ from q8sculpt.mesh_pipeline import (
 )
 from q8sculpt.projection import PoleProximityError, default_pole, radial_to_s3, stereo_project, stereo_unproject
 from q8sculpt.quat import I, ONE, Q8_ELEMENTS, q8_mul, right_mul_matrix
-from q8sculpt.symmetry import seed_asymmetry_check
+from q8sculpt.symmetry import PointCloud4, seed_asymmetry_check
 
 TETRA_OBJ = """\
 v 0 0 0
@@ -112,6 +114,98 @@ def test_stl_layout():
         assert abs(np.linalg.norm(normal) - 1.0) <= 1e-6
 
 
+def reference_write_obj(mesh, comments=()):
+    """Row-by-row OBJ writer, kept as the byte-level reference."""
+    lines = [f"# {c}" for c in comments]
+    for x, y, z in mesh.vertices:
+        lines.append(f"v {float(x):.9g} {float(y):.9g} {float(z):.9g}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_write_stl(mesh):
+    """Triangle-by-triangle STL writer, kept as the byte-level reference."""
+    out = bytearray(b"q8sculpt binary STL".ljust(80, b"\0"))
+    out += struct.pack("<I", mesh.n_triangles)
+    for a, b, c in mesh.triangles:
+        va, vb, vc = mesh.vertices[a], mesh.vertices[b], mesh.vertices[c]
+        normal = np.cross(vb - va, vc - va)
+        length = float(np.linalg.norm(normal))
+        if length > 0.0:
+            normal = normal / length
+        out += struct.pack("<3f", *normal)
+        out += struct.pack("<3f", *va)
+        out += struct.pack("<3f", *vb)
+        out += struct.pack("<3f", *vc)
+        out += struct.pack("<H", 0)
+    return bytes(out)
+
+
+def wide_range_mesh(seed, n):
+    """n triangles over n vertices with magnitudes from 1e-6 to 1e30; an
+    eighth have coincident vertices and an eighth collinear ones."""
+    gen = np.random.default_rng(seed)
+    verts = gen.uniform(-1, 1, size=(n, 3)) * 10.0 ** gen.uniform(-6, 30, size=(n, 1))
+    verts[gen.integers(n, size=n // 10)] = 0.0
+    tris = np.stack([gen.permutation(n)[:3] for _ in range(n)])
+    k = n // 8
+    verts[tris[:k, 1]] = verts[tris[:k, 0]]
+    verts[tris[k : 2 * k, 2]] = 2 * verts[tris[k : 2 * k, 1]] - verts[tris[k : 2 * k, 0]]
+    return Mesh(verts, tris)
+
+
+def test_writers_match_reference_on_random_meshes():
+    for seed, n in ((1, 5000), (2, 9000)):  # both span more than one STL block
+        mesh = wide_range_mesh(seed, n)
+        assert write_stl(mesh) == reference_write_stl(mesh)
+        assert write_obj(mesh, ["a", "b"]) == reference_write_obj(mesh, ["a", "b"])
+
+
+def test_zero_area_triangles_keep_the_raw_cross_product():
+    verts = np.array(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    )
+    # collinear one way, collinear both ways (a -0 component), coincident
+    mesh = Mesh(verts, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
+    data = write_stl(mesh)
+    assert data == reference_write_stl(mesh)
+    for t, (a, b, c) in enumerate(mesh.triangles):
+        normal = np.array(struct.unpack_from("<3f", data, 84 + 50 * t))
+        raw = np.cross(verts[b] - verts[a], verts[c] - verts[a])
+        assert np.array_equal(normal, np.zeros(3))
+        assert np.array_equal(np.signbit(normal), np.signbit(raw))
+    assert np.signbit(struct.unpack_from("<3f", data, 84 + 50)).any()
+
+
+def test_writers_match_reference_on_the_demo_sculpture(demo_mesh):
+    bundle = generate_sculpture(demo_mesh, default_pole(), 7.25)
+    for mesh in [*bundle.parts.values(), bundle.merged]:
+        assert write_stl(mesh) == reference_write_stl(mesh)
+        assert write_obj(mesh, ["demo"]) == reference_write_obj(mesh, ["demo"])
+
+
+def test_stl_refuses_coordinates_beyond_float32():
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    mesh = Mesh(verts * FLOAT32_MAX, np.array([[0, 1, 2]]))
+    assert write_stl(mesh) == reference_write_stl(mesh)  # the largest float32 still fits
+    with pytest.raises(ValueError, match="float32"):
+        write_stl(Mesh(verts * 1e39, np.array([[0, 1, 2]])))
+
+
+def test_generate_refuses_scale_beyond_float32(demo_mesh):
+    for scale in (1e39, 1e300, float("inf")):
+        with pytest.raises(ValueError, match="float32"):
+            generate_sculpture(demo_mesh, default_pole(), scale)
+
+
+def test_cloud_json_matches_per_coordinate_form(rng):
+    points = rng.normal(size=(500, 4))
+    cloud = PointCloud4(points / np.linalg.norm(points, axis=1, keepdims=True))
+    old = json.dumps({"points": [[float(c) for c in p] for p in cloud.points]})
+    assert cloud.to_json() == old
+
+
 def test_transform_mesh_composition():
     pole = default_pole()
     seed = Mesh(np.zeros((1, 3)), np.zeros((0, 3), dtype=np.int64))
@@ -188,6 +282,14 @@ def test_feature_stats_tetrahedron():
     stats = feature_stats(mesh)
     assert stats["min_edge"] == pytest.approx(stats["max_edge"])
     assert stats["ratio"] == pytest.approx(1.0)
+
+
+def test_feature_stats_refuses_zero_length_edges(demo_mesh):
+    coincident = Mesh(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match="triangle 0 has a zero-length edge"):
+        feature_stats(coincident)
+    with pytest.raises(ValueError, match="zero-length edge"):
+        feature_stats(generate_sculpture(demo_mesh, default_pole(), 1e-300).merged)  # underflows
 
 
 def test_feature_stats_scale_linearity(random_seed_mesh):
