@@ -94,6 +94,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         scale = scale_for_min_feature(seed, pole, args.min_feature)
     bundle = generate_sculpture(seed, pole, scale)
     merged_stats = feature_stats(bundle.merged)  # refuses degenerate edges before any write
+    tiny = float(np.finfo(np.float32).tiny)
+    if args.format == "stl" and merged_stats["min_edge"] < tiny:
+        raise ValueError(
+            f"scale {scale:.6g} shrinks the shortest edge to {merged_stats['min_edge']:.3g}, "
+            f"below the smallest normal float32 ({tiny:.3g}) that binary STL can hold"
+        )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -99,6 +99,18 @@ def _candidate_tuple() -> tuple[Isometry4, ...]:
     return tuple(Isometry4.from_matrix(m) for m in signed_permutation_matrices(4))
 
 
+@functools.cache
+def candidate_stack() -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of :func:`hyperoctahedral_candidates`, in the same
+    order, as one read-only int8 (384, 4, 4) array, and the read-only
+    boolean mask of the orientation-preserving ones."""
+    matrices = np.stack(signed_permutation_matrices(4)).astype(np.int8)
+    preserving = np.array([c.is_orientation_preserving for c in _candidate_tuple()])
+    matrices.setflags(write=False)
+    preserving.setflags(write=False)
+    return matrices, preserving
+
+
 def hyperoctahedral_candidates() -> list[Isometry4]:
     """The 384 cell-decomposition-preserving isometries of S^3.
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .quat import Isometry4, UNIT_NORM_TOL, matrix_key
-from .hypercube import hyperoctahedral_candidates, signed_permutation_matrices
+from .hypercube import candidate_stack, hyperoctahedral_candidates, signed_permutation_matrices
 from . import quat
 
 DEFAULT_TOL = 1e-6
@@ -68,84 +68,111 @@ class SymmetryReport:
     chirality: str
 
     def to_json(self) -> str:
-        matrices = sorted(
-            [[int(v) for v in s.key()] for s in self.symmetries]
-        )
+        matrices = sorted(list(s.key()) for s in self.symmetries)
         payload = {
             "candidates_tested": self.candidates_tested,
             "symmetry_count": len(self.symmetries),
-            "symmetries": [
-                [row for row in (m[0:4], m[4:8], m[8:12], m[12:16])] for m in matrices
-            ],
+            "symmetries": [[m[0:4], m[4:8], m[8:12], m[12:16]] for m in matrices],
             "is_exactly_q8": self.is_exactly_q8,
             "chirality": self.chirality,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-#: Candidate pairs the proximity kernel tests per block; bounds its working
-#: memory however many points fall within the radius.
-_BLOCK = 1 << 16
+#: Candidate pairs the proximity kernel tests per block, and image points
+#: matched per chunk of candidates: bounds the working memory however many
+#: points fall within the radius.  Larger blocks are no faster.
+_BLOCK = 1 << 12
 
 
 def _cell_keys(cells: np.ndarray) -> np.ndarray:
-    """One int64 key per row of integer-valued cell indices (at most four
-    axes), each axis folded into 15 bits.  Indices 2**15 cells apart share a
-    key; that only adds candidates, which the distance test removes."""
-    folded = cells.astype(np.int64) & 0x7FFF
-    return (folded << (15 * np.arange(cells.shape[-1]))).sum(axis=-1)
+    """One uint64 key per row of integer cell indices (at most four axes),
+    sum(cell[a] * 2**(15 a)) mod 2**64: linear in the cell.  Cells share a
+    key only when 2**15 or more apart on some axis; that only adds
+    candidates, which the distance test removes."""
+    places = np.uint64(1) << np.arange(0, 15 * cells.shape[-1], 15, dtype=np.uint64)
+    return cells.astype(np.int64).view(np.uint64) @ places
 
 
-def _pair_blocks(source: np.ndarray, target: np.ndarray, r: float):
-    """:func:`_pairs_within`, yielded in blocks of at most about ``_BLOCK``
-    candidates each, for callers that reduce as they go."""
-    source = np.asarray(source, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    span = np.maximum(np.max(np.abs(source), initial=0.0), np.max(np.abs(target), initial=0.0))
+def _check_resolution(span: float, r: float) -> None:
     if not (np.isfinite(span) and np.isfinite(r)):
         raise ValueError("coordinates and tolerance must be finite")
-    resolution = max(1.0, float(span)) * 2.0**-50
+    resolution = max(1.0, span) * 2.0**-50
     if not r > resolution:
         raise ValueError(
             f"tolerance {r:.3g} is not above the float resolution ({resolution:.3g}) "
             "of the coordinates"
         )
-    cell = 2.0 * r
-    keys = _cell_keys(np.floor(target / cell))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    dim = source.shape[1]
-    corners = np.indices((2,) * dim).reshape(dim, -1).T
-    probes = _cell_keys(np.floor(source / cell - 0.5)[:, None, :] + corners).ravel()
-    start = np.searchsorted(keys, probes, "left")
-    count = np.searchsorted(keys, probes, "right") - start
-    cuts = np.searchsorted(np.cumsum(count), np.arange(_BLOCK, count.sum(), _BLOCK))
-    for lo, hi in zip([0, *cuts], [*cuts, len(probes)]):
-        c = count[lo:hi]
-        i = np.repeat(np.arange(lo, hi) // len(corners), c)
-        j = order[np.repeat(start[lo:hi] - np.cumsum(c) + c, c) + np.arange(c.sum())]
-        diff = source[i] - target[j]
-        near = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= r
-        yield i[near], j[near]
+
+
+class _Index:
+    """The one proximity kernel: target points hashed once for queries at
+    radius r, one probe per query point (see :func:`_pairs_within`)."""
+
+    def __init__(self, target: np.ndarray, r: float) -> None:
+        self.target, self.r = np.asarray(target, dtype=np.float64), r
+        self.span = float(np.max(np.abs(self.target), initial=0.0))
+        _check_resolution(self.span, r)
+        self.cell = 2.0 * r + (r + max(1.0, self.span)) * 2.0**-40
+        dim = self.target.shape[1]
+        corners = _cell_keys(np.indices((2,) * dim).reshape(dim, -1).T)
+        keys = (_cell_keys(np.floor(self.target / self.cell - 0.5))[:, None] + corners).ravel()
+        order = np.argsort(keys, kind="stable")
+        self.keys, self.owner = keys[order], order // len(corners)
+
+    def blocks(self, source: np.ndarray):
+        """Every pair (i, j) with ||source[i] - target[j]|| <= r, i ascending,
+        in blocks of at most about ``_BLOCK`` candidates each."""
+        source = np.asarray(source, dtype=np.float64)
+        _check_resolution(max(self.span, float(np.max(np.abs(source), initial=0.0))), self.r)
+        probes = _cell_keys(np.floor(source / self.cell))
+        # searchsorted runs several times faster on sorted needles
+        by_key = np.argsort(probes)
+        start, count = np.empty_like(by_key), np.empty_like(by_key)
+        start[by_key] = np.searchsorted(self.keys, probes[by_key], "left")
+        count[by_key] = np.searchsorted(self.keys, probes[by_key], "right") - start[by_key]
+        cuts = np.searchsorted(np.cumsum(count), np.arange(_BLOCK, count.sum(), _BLOCK))
+        for lo, hi in zip([0, *cuts], [*cuts, len(probes)]):
+            c = count[lo:hi]
+            i = np.repeat(np.arange(lo, hi), c)
+            j = self.owner[np.repeat(start[lo:hi] - np.cumsum(c) + c, c) + np.arange(c.sum())]
+            diff = source[i] - self.target[j]
+            near = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= self.r
+            yield i[near], j[near]
+
+    def pairs(self, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        i, j = zip(*self.blocks(source))
+        return np.concatenate(i), np.concatenate(j)
+
+    def bijective(self, images: np.ndarray) -> np.ndarray:
+        """Which point sets of a (k, n, d) stack map bijectively onto the
+        guarded target within r."""
+        k, n = images.shape[:2]
+        i, j = self.pairs(images.reshape(k * n, images.shape[2]))
+        per_source = np.bincount(i, minlength=k * n).reshape(k, n)
+        per_target = np.bincount(i // n * len(self.target) + j, minlength=k * len(self.target))
+        return np.all(per_source == 1, axis=1) & np.all(per_target.reshape(k, -1) == 1, axis=1)
 
 
 def _pairs_within(source: np.ndarray, target: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Every index pair (i, j) with ||source[i] - target[j]|| <= r; i ascends.
 
-    The one proximity kernel: the well-posedness guard, candidate matching,
-    greedy dedup and the contact audit are all built on it.  Target points
-    are hashed to integer cells of side 2r and their keys sorted.  A point
-    within r of a query q is, on every axis, within half a cell of q, so it
-    lies in cell floor(q / 2r - 1/2) or the next one: the 2**d corner cells
-    (16 in 4-D, 8 in 3-D) are found with ``searchsorted`` and every
-    candidate in them gets the exact distance test.
+    One :class:`_Index` build, then one query.  The index stores each target
+    t under the 2**d cells floor(t / c - 1/2) + {0, 1}**d (16 in 4-D, 8 in
+    3-D) and sorts their keys once; a query q probes the one cell
+    floor(q / c), and every target stored there gets the exact distance
+    test.  Exact: if |q - t| <= r on every axis, then there
+    t / c - 1/2 < q / c < t / c + 1/2, so floor(q / c) is floor(t / c - 1/2)
+    or the next cell.  The side c = 2r + (r + max(1, max |target|)) * 2**-40
+    exceeds 2r by far more than rounding in the divisions and the distance
+    test can move a point, so this holds for the computed values too.
 
     Float resolution.  A coordinate of size x is only known to within an ulp,
     about max(1, |x|) * 2**-52, and a distance test at a radius of a few ulps
     decides rounding noise rather than geometry.  So ``r`` must exceed
-    max(1, max |coordinate|) * 2**-50, else ValueError.  The same floor keeps
-    every cell index below 2**49 in size: exact in float64, no int64
-    overflow.
+    max(1, max |coordinate|) * 2**-50 over both point sets, else ValueError.
+    The same floor keeps every cell index below 2**49 in size: exact in
+    float64, no int64 overflow.
 
     Matching.  Suppose no two target points lie within 2r of each other (the
     strict guard tol < separation / 2).  Then each source point has at most
@@ -157,8 +184,7 @@ def _pairs_within(source: np.ndarray, target: np.ndarray, r: float) -> tuple[np.
     hits alone is not enough when the source is unguarded: two equal source
     points can both hit one target.
     """
-    i, j = zip(*_pair_blocks(source, target, r))
-    return np.concatenate(i), np.concatenate(j)
+    return _Index(target, r).pairs(source)
 
 
 def min_pairwise_distance(points: np.ndarray, within: float) -> float:
@@ -166,38 +192,28 @@ def min_pairwise_distance(points: np.ndarray, within: float) -> float:
     ``within`` apart; inf otherwise (and for one point)."""
     points = np.asarray(points, dtype=np.float64)
     best = float("inf")
-    for i, j in _pair_blocks(points, points, within):
-        distinct = i != j
-        if np.any(distinct):
-            gaps = np.linalg.norm(points[i[distinct]] - points[j[distinct]], axis=1)
-            best = min(best, float(np.min(gaps)))
+    for i, j in _Index(points, within).blocks(points):
+        gaps = np.linalg.norm(points[i[i != j]] - points[j[i != j]], axis=1)
+        best = float(np.min(gaps, initial=best))
     return best
 
 
-def _is_bijection(source: np.ndarray, target: np.ndarray, tol: float) -> bool:
-    """True when source maps bijectively onto target within tol; the target
-    must be guarded (see :func:`_pairs_within`)."""
-    i, j = _pairs_within(source, target, tol)
-    return np.array_equal(i, np.arange(len(source))) and np.array_equal(
-        np.sort(j), np.arange(len(target))
-    )
+def _carrying(points: np.ndarray, matrices: np.ndarray, index: _Index) -> np.ndarray:
+    """The indices, ascending, of the matrices that carry the points
+    bijectively onto the guarded, indexed target.
 
-
-def _carrying(points: np.ndarray, matrices: np.ndarray, target: np.ndarray, tol: float):
-    """Yield, in order, the index of each matrix that carries the points
-    bijectively onto the guarded target within tol.
-
-    A matrix can only do so if it sends point 0 within tol of a target
-    point; that test runs for every matrix at once, and only the hits are
-    matched in full, one at a time.
+    Such a matrix sends point 0 within the radius of a target point; that
+    test runs for every matrix at once, and only the hits are matched in
+    full, against the same index, in chunks of about ``_BLOCK`` points.
     """
+    hits = np.arange(len(matrices))
     if len(points):
-        hits = dict.fromkeys(_pairs_within(points[0] @ matrices, target, tol)[0].tolist())
-    else:
-        hits = range(len(matrices))
-    for k in hits:
-        if _is_bijection(points @ matrices[k], target, tol):
-            yield k
+        hits = np.flatnonzero(np.bincount(index.pairs(points[0] @ matrices)[0], minlength=len(matrices)))
+    keep = np.zeros(len(hits), dtype=bool)
+    step = _BLOCK // max(len(points), 1) + 1
+    for lo in range(0, len(hits), step):
+        keep[lo : lo + step] = index.bijective(points @ matrices[hits[lo : lo + step]])
+    return hits[keep]
 
 
 def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
@@ -223,7 +239,7 @@ def match_point_sets(source: np.ndarray, target: np.ndarray, tol: float) -> bool
     """
     target = np.asarray(target, dtype=np.float64)
     _well_posed_tol(target, tol)
-    return _is_bijection(np.asarray(source, dtype=np.float64), target, tol)
+    return bool(_Index(target, tol).bijective(np.asarray(source, dtype=np.float64)[None])[0])
 
 
 def _well_posed_tol(points: np.ndarray, tol: float) -> None:
@@ -239,37 +255,31 @@ def _well_posed_tol(points: np.ndarray, tol: float) -> None:
 
 def invariant_under(cloud: PointCloud4, iso: Isometry4, tol: float = DEFAULT_TOL) -> bool:
     """True when the isometry maps the cloud onto itself within tol."""
-    _well_posed_tol(cloud.points, tol)
-    return _is_bijection(cloud.points @ iso.m, cloud.points, tol)
-
-
-def _q8_right_keys() -> frozenset[tuple[int, ...]]:
-    return frozenset(matrix_key(quat.q8_right_matrix_int(g)) for g in quat.Q8_ELEMENTS)
+    return match_point_sets(cloud.points @ iso.m, cloud.points, tol)
 
 
 def surviving_candidates(cloud: PointCloud4, tol: float = DEFAULT_TOL) -> list[Isometry4]:
     """Filter the 384-candidate universe down to the cloud's symmetries."""
     _well_posed_tol(cloud.points, tol)
     candidates = hyperoctahedral_candidates()
-    matrices = np.stack([c.m for c in candidates])
-    return [candidates[k] for k in _carrying(cloud.points, matrices, cloud.points, tol)]
+    matrices, _ = candidate_stack()
+    return [candidates[k] for k in _carrying(cloud.points, matrices, _Index(cloud.points, tol))]
 
 
 def symmetry_group(cloud: PointCloud4, tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Detect the cloud's full symmetry set within the candidate universe.
 
     ``is_exactly_q8`` is true when the survivors are precisely the eight
-    right-multiplication matrices; the chirality verdict is computed from the
-    survivors and the cloud's mirror image.
+    right-multiplication matrices; the chirality verdict is read off the
+    survivors.
     """
     survivors = surviving_candidates(cloud, tol)
-    keys = frozenset(s.key() for s in survivors)
-    chirality = classify_chirality(cloud, tol, survivors=survivors)
+    right = {matrix_key(quat.q8_right_matrix_int(g)) for g in quat.Q8_ELEMENTS}
     return SymmetryReport(
         candidates_tested=384,
         symmetries=tuple(survivors),
-        is_exactly_q8=keys == _q8_right_keys(),
-        chirality=chirality,
+        is_exactly_q8=len(survivors) == 8 and {s.key() for s in survivors} == right,
+        chirality=classify_chirality(cloud, tol, survivors=survivors),
     )
 
 
@@ -283,45 +293,34 @@ def seed_asymmetry_check(points: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) array, got shape {points.shape}")
     _well_posed_tol(points, tol)
-    identity = np.eye(3, dtype=np.int64)
-    others = [m for m in signed_permutation_matrices(3) if not np.array_equal(m, identity)]
-    return next(_carrying(points, np.stack(others), points, tol), None) is None
-
-
-def _conjugate_keys(g: np.ndarray, group: Sequence[np.ndarray]) -> frozenset:
-    # orthogonal with integer entries, so the inverse is the exact transpose
-    return frozenset(matrix_key(g @ s @ g.T) for s in group)
+    matrices = np.stack(signed_permutation_matrices(3))  # the identity first
+    return _carrying(points, matrices, _Index(points, tol)).tolist() == [0]
 
 
 def classify_chirality(
-    cloud: PointCloud4,
-    tol: float = DEFAULT_TOL,
-    survivors: Optional[Sequence[Isometry4]] = None,
+    cloud: PointCloud4, tol: float = DEFAULT_TOL, survivors: Optional[Sequence[Isometry4]] = None
 ) -> str:
     """Classify the cloud as achiral, chiral or metachiral.
 
-    Achiral: some orientation-preserving candidate carries the cloud onto its
-    mirror image.  Otherwise the cloud is chiral, and it is metachiral when
-    additionally no orientation-preserving candidate conjugates its symmetry
-    group onto the mirror image's symmetry group: the group itself has a
-    handedness.  All checks stay inside the 384-candidate universe, with the
-    fixed mirror ``MIRROR_W``.
+    Achiral: some orientation-preserving candidate g carries the cloud onto
+    its mirror image ``cloud @ MIRROR_W``.  Negating w in both sets changes
+    no float distance, and g -> g @ MIRROR_W maps the preserving candidates
+    onto the reversing ones, so that holds exactly when some survivor
+    reverses orientation.  Otherwise chiral, and metachiral when no
+    preserving g conjugates the group S onto the mirror image's group,
+    {g s g^T} != {MIRROR_W s MIRROR_W}: the group itself has a handedness.
+    ``survivors`` must be ``surviving_candidates(cloud, tol)``; when given,
+    nothing is matched or guarded again.
     """
-    _well_posed_tol(cloud.points, tol)
-    preserving = [c for c in hyperoctahedral_candidates() if c.is_orientation_preserving]
-    matrices = np.stack([c.m for c in preserving])
-    # the mirror image keeps every pairwise distance, so the guard covers it
-    if next(_carrying(cloud.points, matrices, cloud.points @ MIRROR_W, tol), None) is not None:
-        return "achiral"
     if survivors is None:
         survivors = surviving_candidates(cloud, tol)
-    group = [np.rint(s.m).astype(np.int64) for s in survivors]
-    group_keys = frozenset(matrix_key(m) for m in group)
-    mirror_group_keys = _conjugate_keys(MIRROR_W, group)
-    if group_keys == mirror_group_keys:
-        return "chiral"
-    for candidate in preserving:
-        g = np.rint(candidate.m).astype(np.int64)
-        if _conjugate_keys(g, group) == mirror_group_keys:
-            return "chiral"
-    return "metachiral"
+    if not all(s.is_orientation_preserving for s in survivors):
+        return "achiral"
+    matrices, preserving = candidate_stack()
+    # the 192 preserving candidates, then the mirror as the last conjugator
+    conjugators = np.concatenate([matrices[preserving], MIRROR_W[None].astype(np.int8)])
+    group = np.stack([s.m for s in survivors]).astype(np.int8)
+    conjugates = np.einsum("gab,sbc,gdc->gsad", conjugators, group, conjugators)
+    # balanced ternary: one integer per matrix with entries in {-1, 0, 1}
+    keys = np.sort(conjugates.reshape(len(conjugators), len(group), 16) @ 3 ** np.arange(16), axis=1)
+    return "chiral" if np.any(np.all(keys[:-1] == keys[-1], axis=1)) else "metachiral"

@@ -181,13 +181,23 @@ def test_explicit_scale_skips_min_feature(tmp_path):
     assert manifest["min_feature"] is None
 
 
-@pytest.mark.parametrize("fmt, scale", [("stl", "1e39"), ("obj", "1e300")])
+@pytest.mark.parametrize("fmt, scale", [("stl", "1e39"), ("obj", "1e300"), ("stl", "1e-44")])
 def test_scale_beyond_float32_is_exit_2(tmp_path, capsys, fmt, scale):
     out = tmp_path / "big"
     assert run(["generate", "--seed", "demo", "--out", str(out), "--format", fmt, "--scale", scale]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("q8sculpt: error: input-error: scale")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt, scale", [("stl", "1e-36"), ("obj", "1e-44")])
+def test_tiny_scale_within_the_format_is_written(tmp_path, fmt, scale):
+    # the demo's shortest edge at scale 1 is about 0.19: at 1e-36 it is still
+    # a normal float32; OBJ keeps float64 digits, so 1e-44 is fine there
+    out = tmp_path / "tiny"
+    assert run(["generate", "--seed", "demo", "--out", str(out), "--format", fmt, "--scale", scale]) == 0
+    stats = json.loads((out / "manifest.json").read_text())["merged"]["feature_stats"]
+    assert stats["min_edge"] > 0
 
 
 def _reject_constant(name):

@@ -11,6 +11,7 @@ from q8sculpt.hypercube import hyperoctahedral_candidates, sixteen_cell
 from q8sculpt.mesh_pipeline import Mesh, orbit_cloud
 from q8sculpt.quat import matrix_key
 from q8sculpt.symmetry import (
+    MIRROR_W,
     PointCloud4,
     _dedup,
     _pairs_within,
@@ -112,13 +113,59 @@ def test_pairs_within_on_cell_boundaries(dim):
 
 
 def test_pairs_within_aliased_cells():
-    # points 2**15 cells apart share a folded key; only true pairs survive
+    # cells (2**15, -1, 0, 0) and (0, 0, 0, 0) share a key; only true pairs survive
+    keys = symmetry._cell_keys(np.array([[2.0**15, -1, 0, 0], [0, 2.0**15, -1, 0], [0, 0, 0, 0]]))
+    assert len(set(keys.tolist())) == 1
     r = 1e-3
-    far = 2**15 * 2 * r
-    base = np.array([[0.0, 0.0, 0.0, 0.0], [0.5 * r, 0.0, 0.0, 0.0]])
-    target = np.concatenate([base, base + [far, 0, 0, 0], base + [0, far, far, -far]])
+    base = np.array([[0.3 * r, 0.3 * r, 0.3 * r, 0.3 * r], [0.8 * r, 0.3 * r, 0.3 * r, 0.3 * r]])
+    far, back = 2**15 * 2 * r, -2 * r  # 2**15 cells on, one cell back
+    target = np.concatenate([base, base + [far, back, 0, 0], base + [0, far, back, 0]])
+    probes = symmetry._cell_keys(np.floor(target / symmetry._Index(target, r).cell))
+    assert probes[0] == probes[2] == probes[4]  # far points probe the near cell
     assert kernel_pairs(base, target, r) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert kernel_pairs(target, target, r) == brute_pairs(target, target, r)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_one_index_serves_many_sources(dim):
+    gen = np.random.default_rng(dim)
+    target = gen.uniform(-2.0, 2.0, size=(150, dim))
+    r = 0.3
+    index = symmetry._Index(target, r)
+    sources = [
+        target,
+        target[::-1] + gen.normal(scale=0.2, size=(150, dim)),
+        gen.uniform(-2.5, 2.5, size=(200, dim)),
+        target[:1],
+        np.zeros((0, dim)),
+    ]
+    for source in sources:
+        i, j = index.pairs(source)
+        assert np.all(np.diff(i) >= 0)
+        assert sorted(zip(i, j)) == brute_pairs(source, target, r)
+    # the bijection verdicts of one stacked query, against the brute-force matcher
+    spread = gen.uniform(-2.0, 2.0, size=(40, dim)) * 3.0
+    images = np.stack([spread[gen.permutation(40)] + gen.normal(scale=s, size=(40, dim)) for s in (0, 0.05, 0.5, 2)])
+    images[0, 0] = images[0, 1]  # a duplicated source point
+    spread_index = symmetry._Index(spread, r)
+    assert spread_index.bijective(images).tolist() == [brute_bijection(im, spread, r) for im in images]
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("r", [0.25, 0.1, 1 / 3, 1e-3 * np.pi])
+def test_pairs_within_at_cell_multiples_plus_or_minus_an_ulp(dim, r):
+    # coordinates on multiples of r (the even ones are where floor(q / 2r)
+    # changes, the odd ones where floor(t / 2r - 1/2) does), on multiples of
+    # the index's own cell side, and one ulp either side of each: many pairs
+    # are r apart to within an ulp
+    gen = np.random.default_rng(int(1e6 * r) + dim)
+    cell = symmetry._Index(np.zeros((1, dim)), r).cell
+    grid = np.concatenate([np.arange(-4, 5) * r, np.arange(-2, 3) * cell])
+    values = np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)])
+    points = values[gen.integers(len(values), size=(400, dim))]
+    got = kernel_pairs(points, points, r)
+    assert got == brute_pairs(points, points, r)
+    assert sum(a != b for a, b in got) > 100
 
 
 def test_pairs_within_in_small_blocks(monkeypatch):
@@ -129,6 +176,14 @@ def test_pairs_within_in_small_blocks(monkeypatch):
     assert symmetry.min_pairwise_distance(points, 0.9) == pytest.approx(
         min(np.linalg.norm(points[a] - points[b]) for a, b in itertools.combinations(range(60), 2))
     )
+    # one index, reused across sources, block by block
+    index = symmetry._Index(points, 0.9)
+    for source in (points[::-1], points[:5] + 0.1, gen.uniform(-1.0, 1.0, size=(30, 4))):
+        assert sorted(zip(*index.pairs(source))) == brute_pairs(source, points, 0.9)
+    # the candidate filter matches one candidate per chunk
+    cloud = cube_orbit_cloud(2)
+    survivors = [c.key() for c in surviving_candidates(PointCloud4(cloud), 1e-6)]
+    assert survivors == brute_survivors(cloud, 1e-6)
 
 
 def test_pairs_within_empty_inputs():
@@ -147,6 +202,13 @@ def test_pairs_within_refuses_float_resolution():
         _pairs_within(points, points * np.nan, 0.1)
     with pytest.raises(ValueError, match="finite"):
         _pairs_within(points, points, np.inf)
+    # a reused index still checks each source's own span
+    index = symmetry._Index(points, 1e-12)
+    assert sorted(zip(*index.pairs(points))) == [(0, 0), (1, 1)]
+    with pytest.raises(ValueError, match="float resolution"):
+        index.pairs(points * 1e6)
+    with pytest.raises(ValueError, match="finite"):
+        index.pairs(points + np.inf)
 
 
 def test_dedup_keeps_first_of_a_chain():
@@ -193,22 +255,17 @@ def test_survivors_form_a_group(seed):
                 assert matrix_key(a @ b) in keys
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_noise_below_half_tol_keeps_the_verdict(seed):
-    tol = 1e-3
+def noisy_q8_cloud(seed, tol=1e-3):
+    """q8_cloud(100 + seed), each point moved by less than 0.45 tol."""
     gen = np.random.default_rng(seed)
     points = q8_cloud(100 + seed)
-    clean = symmetry_group(PointCloud4(points), tol)
     noise = gen.normal(size=points.shape)
     noise *= gen.uniform(0.0, 0.45 * tol, size=(len(points), 1)) / np.linalg.norm(noise, axis=1, keepdims=True)
-    noisy = symmetry_group(PointCloud4(unit(points + noise)), tol)
-    assert [s.key() for s in noisy.symmetries] == [s.key() for s in clean.symmetries]
-    assert noisy.is_exactly_q8 and noisy.chirality == clean.chirality == "metachiral"
+    return unit(points + noise)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_one_point_moved_past_tol_breaks_the_symmetry(seed):
-    tol = 1e-6
+def moved_q8_cloud(seed, tol=1e-6):
+    """q8_cloud(200 + seed) with one point moved by a chord of 1.01 tol."""
     gen = np.random.default_rng(seed)
     points = q8_cloud(200 + seed).copy()
     k = int(gen.integers(len(points)))
@@ -218,6 +275,89 @@ def test_one_point_moved_past_tol_breaks_the_symmetry(seed):
     u /= np.linalg.norm(u)
     theta = 2 * np.arcsin(1.01 * tol / 2)  # chord of 1.01 tol along the sphere
     points[k] = np.cos(theta) * p + np.sin(theta) * u
-    cloud = PointCloud4(points)
+    return points
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_noise_below_half_tol_keeps_the_verdict(seed):
+    tol = 1e-3
+    clean = symmetry_group(PointCloud4(q8_cloud(100 + seed)), tol)
+    noisy = symmetry_group(PointCloud4(noisy_q8_cloud(seed, tol)), tol)
+    assert [s.key() for s in noisy.symmetries] == [s.key() for s in clean.symmetries]
+    assert noisy.is_exactly_q8 and noisy.chirality == clean.chirality == "metachiral"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_point_moved_past_tol_breaks_the_symmetry(seed):
+    tol = 1e-6
+    cloud = PointCloud4(moved_q8_cloud(seed, tol))
     assert [s.key() for s in surviving_candidates(cloud, tol)] == [matrix_key(np.eye(4))]
     assert classify_chirality(cloud, tol) == "chiral"
+
+
+def reference_chirality(points, tol):
+    """The former classify_chirality, kept as the reference: search the 192
+    orientation-preserving candidates for one carrying the cloud onto its
+    mirror image, then try every one of them as a conjugator of the
+    symmetry group, one float matmul and rint key at a time."""
+    preserving = [c for c in hyperoctahedral_candidates() if c.is_orientation_preserving]
+    mirrored = points @ MIRROR_W
+    if any(brute_bijection(points @ c.m, mirrored, tol) for c in preserving):
+        return "achiral"
+    group = [np.array(key).reshape(4, 4) for key in brute_survivors(points, tol)]
+    mirror_keys = {matrix_key(MIRROR_W @ s @ MIRROR_W) for s in group}
+    for candidate in preserving:
+        g = np.rint(candidate.m).astype(np.int64)
+        if {matrix_key(g @ s @ g.T) for s in group} == mirror_keys:
+            return "chiral"
+    return "metachiral"
+
+
+def rotation_orbit_cloud(seed):
+    """The 192 images of a generic point under the orientation-preserving
+    candidates: chiral, with all 192 of them as its group."""
+    point = unit(np.random.default_rng(seed).normal(size=(1, 4)))[0]
+    return np.stack([point @ c.m for c in hyperoctahedral_candidates() if c.is_orientation_preserving])
+
+
+# each cloud, and its verdict at tol 1e-6
+CHIRALITY_CLOUDS = {
+    "cube-orbit": (lambda: cube_orbit_cloud(4), "achiral"),
+    "16-cell": (lambda: sixteen_cell().vertices.astype(float), "achiral"),
+    "generic": (lambda: unit(np.random.default_rng(3).normal(size=(30, 4))), "chiral"),
+    "q8": (lambda: q8_cloud(7), "metachiral"),
+    "noisy-q8": (lambda: noisy_q8_cloud(1), "chiral"),
+    "moved-q8": (lambda: moved_q8_cloud(2), "chiral"),
+    "planted-a": (lambda: planted_cloud(11, 10), "chiral"),
+    "planted-b": (lambda: planted_cloud(12, 6), "chiral"),
+    "rotations": (lambda: rotation_orbit_cloud(5), "chiral"),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+@pytest.mark.parametrize("name", CHIRALITY_CLOUDS)
+def test_chirality_matches_reference(name, tol):
+    build, verdict = CHIRALITY_CLOUDS[name]
+    points = build()
+    cloud = PointCloud4(points)
+    separation = min(np.linalg.norm(a - b) for a, b in itertools.combinations(points, 2))
+    if tol >= separation / 2:
+        with pytest.raises(ValueError, match="ill-posed"):
+            classify_chirality(cloud, tol)
+        return
+    expected = reference_chirality(points, tol)
+    assert tol != 1e-6 or expected == verdict
+    assert classify_chirality(cloud, tol) == expected
+    assert classify_chirality(cloud, tol, survivors=surviving_candidates(cloud, tol)) == expected
+    assert symmetry_group(cloud, tol).chirality == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_conjugating_the_cloud_conjugates_its_group(seed):
+    # s maps the cloud onto itself exactly when g^T s g maps cloud @ g onto itself
+    gen = np.random.default_rng(seed)
+    g = hyperoctahedral_candidates()[int(gen.integers(384))].m
+    for points in (q8_cloud(seed), planted_cloud(seed, 8), cube_orbit_cloud(seed), noisy_q8_cloud(seed)):
+        survivors = surviving_candidates(PointCloud4(points), 1e-3)
+        expected = sorted(matrix_key(g.T @ s.m @ g) for s in survivors)
+        assert sorted(s.key() for s in surviving_candidates(PointCloud4(points @ g), 1e-3)) == expected
