@@ -63,6 +63,8 @@ def _parse_pole(text: str | None) -> Pole:
     if len(parts) != 4:
         raise ValueError("pole needs four comma-separated coordinates")
     vec = np.array([float(p) for p in parts], dtype=np.float64)
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("pole coordinates must be finite")
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ValueError("pole cannot be the zero vector")

@@ -84,31 +84,27 @@ def signed_permutation_matrices(n: int) -> list[np.ndarray]:
     Deterministic order: permutations lexicographically, then sign patterns
     with +1 before -1 per coordinate.
     """
-    mats = []
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            m = np.zeros((n, n), dtype=np.int64)
-            for row in range(n):
-                m[row, perm[row]] = signs[row]
-            mats.append(m)
-    return mats
-
-
-@functools.cache
-def _candidate_tuple() -> tuple[Isometry4, ...]:
-    return tuple(Isometry4.from_matrix(m) for m in signed_permutation_matrices(4))
+    eye = np.eye(n, dtype=np.int64)
+    signs = [np.array(s)[:, None] for s in itertools.product((1, -1), repeat=n)]
+    return [s * eye[list(perm)] for perm in itertools.permutations(range(n)) for s in signs]
 
 
 @functools.cache
 def candidate_stack() -> tuple[np.ndarray, np.ndarray]:
     """The candidates of :func:`hyperoctahedral_candidates`, in the same
     order, as one read-only int8 (384, 4, 4) array, and the read-only
-    boolean mask of the orientation-preserving ones."""
+    boolean mask of the orientation-preserving ones (determinant +1)."""
     matrices = np.stack(signed_permutation_matrices(4)).astype(np.int8)
-    preserving = np.array([c.is_orientation_preserving for c in _candidate_tuple()])
+    preserving = np.linalg.det(matrices) > 0
     matrices.setflags(write=False)
     preserving.setflags(write=False)
     return matrices, preserving
+
+
+@functools.cache
+def _candidate_tuple() -> tuple[Isometry4, ...]:
+    matrices, preserving = candidate_stack()
+    return tuple(Isometry4(m, "preserving" if p else "reversing") for m, p in zip(matrices, preserving))
 
 
 def hyperoctahedral_candidates() -> list[Isometry4]:

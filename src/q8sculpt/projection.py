@@ -10,7 +10,7 @@ are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,44 +30,38 @@ def _hyperplane_basis(p: np.ndarray) -> np.ndarray:
     Deterministic construction: drop the standard axis most parallel to p
     (lowest index on ties), Gram-Schmidt the remaining three in index order.
     """
-    drop = int(np.argmax(np.abs(p)))
     basis = []
-    for axis in range(4):
-        if axis == drop:
-            continue
-        v = np.zeros(4, dtype=np.float64)
-        v[axis] = 1.0
-        v = v - np.dot(v, p) * p
-        for b in basis:
+    for v in np.delete(np.eye(4), int(np.argmax(np.abs(p))), axis=0):
+        for b in [p, *basis]:
             v = v - np.dot(v, b) * b
-        v = v / np.linalg.norm(v)
-        basis.append(v)
+        basis.append(v / np.linalg.norm(v))
     return np.array(basis)
 
 
 @dataclass(frozen=True, eq=False)
 class Pole:
-    """Unit projection pole with its fixed hyperplane basis (rows of ``basis``)."""
+    """Unit projection pole with the hyperplane basis derived from it (rows of ``basis``)."""
 
     p: np.ndarray
-    basis: np.ndarray
+    basis: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p, dtype=np.float64).copy()
         if p.shape != (4,):
             raise ValueError(f"pole must be a 4-vector, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("pole coordinates must be finite")
         if abs(float(np.linalg.norm(p)) - 1.0) > UNIT_NORM_TOL:
             raise ValueError("pole must be a unit vector")
         p.setflags(write=False)
-        basis = np.asarray(self.basis, dtype=np.float64).copy()
+        basis = _hyperplane_basis(p)
         basis.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "basis", basis)
 
     @classmethod
     def from_vector(cls, p: np.ndarray) -> "Pole":
-        p = np.asarray(p, dtype=np.float64)
-        return cls(p, _hyperplane_basis(p))
+        return cls(p)
 
 
 def default_pole() -> Pole:

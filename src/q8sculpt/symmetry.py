@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quat import Isometry4, UNIT_NORM_TOL, matrix_key
+from .quat import Isometry4, Q8_ELEMENTS, UNIT_NORM_TOL, q8_right_matrix_int
 from .hypercube import candidate_stack, hyperoctahedral_candidates, signed_permutation_matrices
-from . import quat
 
 DEFAULT_TOL = 1e-6
 
@@ -68,15 +67,21 @@ class SymmetryReport:
     chirality: str
 
     def to_json(self) -> str:
-        matrices = sorted(list(s.key()) for s in self.symmetries)
+        matrices = np.stack([s.m for s in self.symmetries]).astype(np.int8)
         payload = {
             "candidates_tested": self.candidates_tested,
             "symmetry_count": len(self.symmetries),
-            "symmetries": [[m[0:4], m[4:8], m[8:12], m[12:16]] for m in matrices],
+            "symmetries": matrices[np.argsort(_codes(matrices))].tolist(),
             "is_exactly_q8": self.is_exactly_q8,
             "chirality": self.chirality,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _codes(m: np.ndarray) -> np.ndarray:
+    """Balanced-ternary code of each (..., 4, 4) matrix with entries in {-1, 0, 1},
+    first entry most significant: injective, and sorting as the entry lists do."""
+    return m.reshape(*m.shape[:-2], 16) @ 3 ** np.arange(15, -1, -1)
 
 
 #: Candidate pairs the proximity kernel tests per block, and image points
@@ -274,11 +279,12 @@ def symmetry_group(cloud: PointCloud4, tol: float = DEFAULT_TOL) -> SymmetryRepo
     survivors.
     """
     survivors = surviving_candidates(cloud, tol)
-    right = {matrix_key(quat.q8_right_matrix_int(g)) for g in quat.Q8_ELEMENTS}
+    codes = _codes(np.stack([s.m for s in survivors]).astype(np.int8))
+    right = _codes(np.stack([q8_right_matrix_int(g) for g in Q8_ELEMENTS]))
     return SymmetryReport(
         candidates_tested=384,
         symmetries=tuple(survivors),
-        is_exactly_q8=len(survivors) == 8 and {s.key() for s in survivors} == right,
+        is_exactly_q8=np.array_equal(np.sort(codes), np.sort(right)),
         chirality=classify_chirality(cloud, tol, survivors=survivors),
     )
 
@@ -321,6 +327,5 @@ def classify_chirality(
     conjugators = np.concatenate([matrices[preserving], MIRROR_W[None].astype(np.int8)])
     group = np.stack([s.m for s in survivors]).astype(np.int8)
     conjugates = np.einsum("gab,sbc,gdc->gsad", conjugators, group, conjugators)
-    # balanced ternary: one integer per matrix with entries in {-1, 0, 1}
-    keys = np.sort(conjugates.reshape(len(conjugators), len(group), 16) @ 3 ** np.arange(16), axis=1)
+    keys = np.sort(_codes(conjugates), axis=1)
     return "chiral" if np.any(np.all(keys[:-1] == keys[-1], axis=1)) else "metachiral"

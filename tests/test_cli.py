@@ -171,6 +171,13 @@ def test_pole_flag_parsing(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["pole"] == [0.5, 0.5, 0.5, 0.5]
     assert run(["generate", "--seed", "demo", "--out", str(out), "--pole", "1,0,0"]) == 2
+    capsys.readouterr()
+    for pole in ("nan,0,0,0", "inf,0,0,0", "0.5,0.5,-inf,0.5"):
+        refused = tmp_path / "nonfinite"
+        assert run(["generate", "--seed", "demo", "--out", str(refused), "--pole", pole]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["q8sculpt: error: input-error: pole coordinates must be finite"]
+        assert not refused.exists()
 
 
 def test_explicit_scale_skips_min_feature(tmp_path):

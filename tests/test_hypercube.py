@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from q8sculpt.hypercube import (
+    candidate_stack,
     cell_action,
     cell_of_point,
     cells_of_points,
@@ -13,6 +14,7 @@ from q8sculpt.hypercube import (
     sixteen_cell,
 )
 from q8sculpt.quat import I, MINUS_ONE, ONE, Q8_ELEMENTS, matrix_key, q8_mul, right_mul_matrix
+from q8sculpt.symmetry import _codes
 
 
 def test_cell_of_point_examples():
@@ -82,10 +84,21 @@ def test_candidate_universe_size_and_orientation_split():
     assert len(candidates) == 384
     preserving = [c for c in candidates if c.is_orientation_preserving]
     assert len(preserving) == 192
-    # independent orientation oracle: numpy determinant
-    for c in candidates[::17]:
+    matrices, mask = candidate_stack()
+    assert matrices.dtype == np.int8 and matrices.shape == (384, 4, 4)
+    assert mask.tolist() == [c.is_orientation_preserving for c in candidates]
+    # the float views hold the stack's rows; independent orientation oracle:
+    # the numpy determinant of each float candidate
+    for c, m, preserving in zip(candidates, matrices, mask):
+        assert np.array_equal(c.m, m)
         det = np.linalg.det(c.m)
-        assert abs(det - (1.0 if c.is_orientation_preserving else -1.0)) < 1e-9
+        assert abs(det - (1.0 if preserving else -1.0)) < 1e-9
+
+
+def test_codes_sort_the_stack_lexicographically():
+    matrices, _ = candidate_stack()
+    assert matrices[np.argsort(_codes(matrices))].tolist() == sorted(matrices.tolist())
+    assert len(set(_codes(matrices).tolist())) == 384
 
 
 def test_candidates_distinct_orthogonal_closed():

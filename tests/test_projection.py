@@ -56,6 +56,9 @@ def test_default_pole_two_distance_classes():
 def test_pole_requires_unit_vector():
     with pytest.raises(ValueError):
         Pole.from_vector(np.array([1.0, 1.0, 0.0, 0.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Pole.from_vector(np.array([bad, 0.0, 0.0, 0.0]))
 
 
 def test_antipode_maps_to_origin():

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from q8sculpt.hypercube import hyperoctahedral_candidates, q8_right_isometries, sixteen_cell
+from q8sculpt.hypercube import (
+    hyperoctahedral_candidates,
+    q8_right_isometries,
+    signed_permutation_matrices,
+    sixteen_cell,
+)
+from q8sculpt.projection import radial_to_s3
 from q8sculpt.quat import Isometry4, Q8_ELEMENTS, left_mul_matrix, matrix_key
 from q8sculpt.symmetry import (
     MIRROR_W,
@@ -192,6 +198,35 @@ def test_report_json_shape(sculpture_report):
         flat = [v for row in matrix for v in row]
         assert all(isinstance(v, int) for v in flat)
         assert sorted(map(abs, flat)).count(1) == 4
+
+
+def _reference_report_json(report):
+    """The report as it was printed from float ``Isometry4.key`` tuples."""
+    matrices = sorted(list(s.key()) for s in report.symmetries)
+    payload = {
+        "candidates_tested": report.candidates_tested,
+        "symmetry_count": len(report.symmetries),
+        "symmetries": [[m[0:4], m[4:8], m[8:12], m[12:16]] for m in matrices],
+        "is_exactly_q8": report.is_exactly_q8,
+        "chirality": report.chirality,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_report_json_matches_the_key_reference(sculpture_cloud):
+    corner = np.array([0.3, -0.55, 0.8])
+    cube_orbit = np.stack([corner @ m for m in signed_permutation_matrices(3)])
+    clouds = {
+        1: unit_cloud(30, seed=5),
+        8: sculpture_cloud,
+        48: PointCloud4(radial_to_s3(cube_orbit)),
+        384: PointCloud4(sixteen_cell().vertices.astype(float)),
+    }
+    for count, cloud in clouds.items():
+        report = symmetry_group(cloud)
+        assert len(report.symmetries) == count
+        assert report.is_exactly_q8 == (count == 8)
+        assert report.to_json() == _reference_report_json(report)
 
 
 def test_point_cloud_validation():
