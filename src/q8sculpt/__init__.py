@@ -1,131 +1,10 @@
 """q8sculpt: sculptures whose symmetry group is exactly the eight-element
 quaternion group, built by lifting an asymmetric seed onto the 3-sphere,
 replicating it by right multiplication, and stereographically projecting the
-copies back to printable 3-space."""
+copies back to printable 3-space.
+
+Import names from their modules (``q8sculpt.symmetry.symmetry_group`` and so
+on): the package namespace holds only ``__version__``, so importing it loads
+no submodule."""
 
 __version__ = "0.1.0"
-
-from .quat import (
-    Quaternion,
-    UnitQuaternion,
-    Q8Element,
-    Isometry4,
-    Q8_ELEMENTS,
-    GENERATORS,
-    ONE,
-    MINUS_ONE,
-    I,
-    J,
-    K,
-    mul,
-    q8_mul,
-    q8_inverse,
-    q8_order,
-    right_mul_matrix,
-    left_mul_matrix,
-    verify_group_axioms,
-)
-from .hypercube import (
-    cell_of_point,
-    cell_action,
-    sixteen_cell,
-    hyperoctahedral_candidates,
-)
-from .blocks import (
-    FaceDecoration,
-    DecoratedBlock,
-    standard_block,
-    faces_match,
-    block_symmetries,
-    line_placements,
-    verify_line,
-    assemble_hypercube,
-    gluing_table,
-    decoration_cloud,
-    cayley_graph,
-    follow_path,
-    to_dot,
-)
-from .projection import Pole, default_pole, radial_to_s3, stereo_project, stereo_unproject
-from .mesh_pipeline import (
-    Mesh,
-    SculptureBundle,
-    load_obj,
-    write_obj,
-    write_stl,
-    transform_mesh,
-    generate_sculpture,
-    feature_stats,
-    face_contact_check,
-    demo_seed,
-    orbit_cloud,
-)
-from .symmetry import (
-    PointCloud4,
-    SymmetryReport,
-    invariant_under,
-    symmetry_group,
-    seed_asymmetry_check,
-    classify_chirality,
-)
-
-__all__ = [
-    "__version__",
-    "Quaternion",
-    "UnitQuaternion",
-    "Q8Element",
-    "Isometry4",
-    "Q8_ELEMENTS",
-    "GENERATORS",
-    "ONE",
-    "MINUS_ONE",
-    "I",
-    "J",
-    "K",
-    "mul",
-    "q8_mul",
-    "q8_inverse",
-    "q8_order",
-    "right_mul_matrix",
-    "left_mul_matrix",
-    "verify_group_axioms",
-    "cell_of_point",
-    "cell_action",
-    "sixteen_cell",
-    "hyperoctahedral_candidates",
-    "FaceDecoration",
-    "DecoratedBlock",
-    "standard_block",
-    "faces_match",
-    "block_symmetries",
-    "line_placements",
-    "verify_line",
-    "assemble_hypercube",
-    "gluing_table",
-    "decoration_cloud",
-    "cayley_graph",
-    "follow_path",
-    "to_dot",
-    "Pole",
-    "default_pole",
-    "radial_to_s3",
-    "stereo_project",
-    "stereo_unproject",
-    "Mesh",
-    "SculptureBundle",
-    "load_obj",
-    "write_obj",
-    "write_stl",
-    "transform_mesh",
-    "generate_sculpture",
-    "feature_stats",
-    "face_contact_check",
-    "demo_seed",
-    "orbit_cloud",
-    "PointCloud4",
-    "SymmetryReport",
-    "invariant_under",
-    "symmetry_group",
-    "seed_asymmetry_check",
-    "classify_chirality",
-]

@@ -38,7 +38,7 @@ from .quat import (
     q8_mul,
     q8_right_matrix_int,
 )
-from .hypercube import signed_permutation_matrices
+from .hypercube import _quarter_turn, signed_permutation_matrices
 
 MOTIFS = ("face", "paw", "tail")
 CHIRALITIES = ("left", "right")
@@ -54,19 +54,8 @@ def face_name(face: tuple[int, int]) -> str:
     return ("+" if sign > 0 else "-") + _AXIS_LETTERS[axis]
 
 
-def _quarter_turn(axis: int) -> np.ndarray:
-    """+90 degree right-handed rotation about +e_axis, acting on row vectors."""
-    m = np.zeros((3, 3), dtype=np.int64)
-    a1, a2 = (axis + 1) % 3, (axis + 2) % 3
-    m[axis, axis] = 1
-    m[a1, a2] = 1
-    m[a2, a1] = -1
-    return m
-
-
-_ROT3 = tuple(_quarter_turn(a) for a in range(3))
 _ROT3_POWERS = tuple(
-    tuple(np.linalg.matrix_power(_ROT3[a], k) for k in range(4)) for a in range(3)
+    tuple(np.linalg.matrix_power(_quarter_turn(a), k) for k in range(4)) for a in range(3)
 )
 
 
@@ -491,19 +480,6 @@ def decoration_cloud(assembly: HypercubeAssembly) -> np.ndarray:
                 point = center + _CHIRALITY_OFFSET * combo
                 seen[key_hand] = point / np.linalg.norm(point)
     return np.array(list(seen.values()), dtype=np.float64)
-
-
-def contact_transfer_matrix(axis: int) -> np.ndarray:
-    """Map from a seed's +axis face plane onto its -axis face plane.
-
-    This is the identification the hypercube gluing induces between the two
-    opposite faces of the seed cube: reflect through the cube's mid-plane,
-    then a quarter turn about the axis.  A seed connects with its transported
-    copies exactly when its -face contact set is the image of its +face set.
-    """
-    reflect = np.eye(3, dtype=np.int64)
-    reflect[axis, axis] = -1
-    return reflect @ _ROT3[axis]
 
 
 # ---------------------------------------------------------------------------

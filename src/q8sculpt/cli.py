@@ -16,10 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blocks import cayley_graph, to_dot
 from .mesh_pipeline import (
     Mesh,
-    MeshFormatError,
     demo_seed,
     face_contact_check,
     feature_stats,
@@ -71,7 +69,7 @@ def _parse_pole(text: str | None) -> Pole:
     if abs(norm - 1.0) > UNIT_NORM_TOL:
         _warn(f"pole normalized, adjustment {abs(norm - 1.0):.3g}")
         vec = vec / norm
-    return Pole.from_vector(vec)
+    return Pole(vec)
 
 
 def _load_seed(source: str) -> Mesh:
@@ -194,6 +192,9 @@ def _cmd_check_seed(args: argparse.Namespace) -> int:
 
 
 def _cmd_cayley(args: argparse.Namespace) -> int:
+    # imported here so that no other command pays for loading the block calculus
+    from .blocks import cayley_graph, to_dot
+
     _emit(args.out, to_dot(cayley_graph()))
     return EXIT_OK
 
@@ -204,8 +205,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one-line input-error diagnostic, exit 2."""
+
+    def error(self, message: str):
+        _diag("input-error", message)
+        raise SystemExit(EXIT_INPUT)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="q8sculpt",
         description=(
             "Generate and verify 3D-printable sculptures whose symmetry group "
@@ -260,9 +269,6 @@ def main(argv: list[str] | None = None) -> int:
     except PoleProximityError as exc:
         _diag("pipeline-error", str(exc))
         return EXIT_PIPELINE
-    except MeshFormatError as exc:
-        _diag("input-error", str(exc))
-        return EXIT_INPUT
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         _diag("input-error", str(exc))
         return EXIT_INPUT

@@ -57,6 +57,32 @@ def cell_action(g: Q8Element) -> dict[CellLabel, CellLabel]:
     return {a: q8_mul(a, g) for a in Q8_ELEMENTS}
 
 
+def _quarter_turn(axis: int) -> np.ndarray:
+    """+90 degree right-handed rotation about +e_axis, acting on row vectors."""
+    m = np.zeros((3, 3), dtype=np.int64)
+    a1, a2 = (axis + 1) % 3, (axis + 2) % 3
+    m[axis, axis] = 1
+    m[a1, a2] = 1
+    m[a2, a1] = -1
+    return m
+
+
+def contact_transfer_matrix(axis: int) -> np.ndarray:
+    """Map from a seed's +axis face plane onto its -axis face plane.
+
+    This is the identification the hypercube gluing induces between the two
+    opposite faces of the seed cube: reflect through the cube's mid-plane,
+    then a quarter turn about the axis.  A point p of the +axis face of cell
+    1 is, in 4-space, the point ``p @ contact_transfer_matrix(axis)`` of the
+    -axis face of the neighbouring cell, so a seed connects with its
+    transported copies exactly when its -face contact set is the image of
+    its +face set.
+    """
+    reflect = np.eye(3, dtype=np.int64)
+    reflect[axis, axis] = -1
+    return reflect @ _quarter_turn(axis)
+
+
 @dataclass(frozen=True)
 class SixteenCell:
     """Vertices and edges of the dual polytope of the hypercube."""

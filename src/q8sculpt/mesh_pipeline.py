@@ -17,11 +17,13 @@ import numpy as np
 
 from .quat import Q8Element, Q8_ELEMENTS, q8_right_matrix_int
 from .projection import Pole, PoleProximityError, POLE_PROXIMITY_TOL, radial_to_s3, stereo_project
-from .blocks import contact_transfer_matrix
+from .hypercube import contact_transfer_matrix
 from .symmetry import _dedup, _pairs_within, match_point_sets
 
 SEED_DOMAIN_TOL = 1e-9
 CONTACT_TOL = 1e-6
+#: Images of seed vertices closer than this are one point of the orbit cloud.
+ORBIT_DEDUP_TOL = 1e-9
 
 # Largest coordinate a binary STL record can hold.
 FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -322,7 +324,7 @@ def face_contact_check(seed: Mesh, tol: float = CONTACT_TOL) -> ContactReport:
     cube faces.
 
     For each axis, the vertices on the +face must map onto the vertices on
-    the -face under that axis's :func:`~q8sculpt.blocks.contact_transfer_matrix`
+    the -face under that axis's :func:`~q8sculpt.hypercube.contact_transfer_matrix`
     (point sets compared within ``tol``, after greedy dedup within ``tol``);
     an axis with an empty contact set fails, since nothing would physically
     connect there.  Two -face points closer than ``2 * tol`` make the
@@ -359,13 +361,13 @@ def face_contact_check(seed: Mesh, tol: float = CONTACT_TOL) -> ContactReport:
     return ContactReport(tuple(axes))
 
 
-def orbit_cloud(seed: Mesh, dedup_tol: float = 1e-9) -> np.ndarray:
+def orbit_cloud(seed: Mesh) -> np.ndarray:
     """The sculpture's point cloud on the 3-sphere: all eight images of the
     seed vertices, with coincident contact points collapsed."""
     _check_seed_domain(seed)
     lifted = radial_to_s3(seed.vertices)
     stacked = np.concatenate([lifted @ q8_right_matrix_int(g) for g in Q8_ELEMENTS])
-    return stacked[_dedup(stacked, dedup_tol)]
+    return stacked[_dedup(stacked, ORBIT_DEDUP_TOL)]
 
 
 def demo_seed() -> Mesh:

@@ -59,10 +59,6 @@ class Pole:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "basis", basis)
 
-    @classmethod
-    def from_vector(cls, p: np.ndarray) -> "Pole":
-        return cls(p)
-
 
 def default_pole() -> Pole:
     """The pole at the hypercube vertex (1,1,1,1)/2.
@@ -72,7 +68,7 @@ def default_pole() -> Pole:
     positively-labelled cells, so the eight copies come out in two size
     classes of four.
     """
-    return Pole.from_vector(np.array([0.5, 0.5, 0.5, 0.5]))
+    return Pole(np.array([0.5, 0.5, 0.5, 0.5]))
 
 
 def radial_to_s3(points: np.ndarray) -> np.ndarray:

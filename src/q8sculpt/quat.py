@@ -52,9 +52,6 @@ class Quaternion:
     def magnitude(self) -> float:
         return math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
     def normalize(self) -> "UnitQuaternion":
         """Explicitly rescale to unit magnitude (the only place that rescales)."""
         m = self.magnitude()
@@ -200,13 +197,13 @@ class Isometry4:
         m = np.asarray(self.m, dtype=np.float64)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if np.max(np.abs(m @ m.T - np.eye(4))) > ORTHOGONALITY_TOL:
+        if not np.max(np.abs(m @ m.T - np.eye(4))) <= ORTHOGONALITY_TOL:
             raise ValueError("matrix is not orthogonal within tolerance")
         det = float(np.linalg.det(m))
         expected = 1.0 if self.orientation == "preserving" else -1.0
         if self.orientation not in ("preserving", "reversing"):
             raise ValueError(f"unknown orientation {self.orientation!r}")
-        if abs(det - expected) > ORTHOGONALITY_TOL:
+        if not abs(det - expected) <= ORTHOGONALITY_TOL:
             raise ValueError(
                 f"determinant {det} does not match orientation {self.orientation!r}"
             )
@@ -222,9 +219,6 @@ class Isometry4:
     @property
     def is_orientation_preserving(self) -> bool:
         return self.orientation == "preserving"
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) @ self.m
 
     def __matmul__(self, other: "Isometry4") -> "Isometry4":
         orientation = (

@@ -38,7 +38,7 @@ class PointCloud4:
             raise ValueError("point cloud is empty")
         norms = np.linalg.norm(pts, axis=1)
         worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > UNIT_NORM_TOL:
+        if not worst <= UNIT_NORM_TOL:
             raise ValueError(f"points must lie on the unit sphere (off by {worst:.3g})")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -8,7 +8,6 @@ from q8sculpt.blocks import (
     assemble_hypercube,
     block_symmetries,
     cayley_graph,
-    contact_transfer_matrix,
     face_name,
     faces_match,
     follow_path,
@@ -20,7 +19,7 @@ from q8sculpt.blocks import (
     to_dot,
     verify_line,
 )
-from q8sculpt.hypercube import signed_permutation_matrices
+from q8sculpt.hypercube import contact_transfer_matrix, signed_permutation_matrices
 from q8sculpt.quat import GENERATORS, I, J, K, MINUS_ONE, ONE, Q8_ELEMENTS, q8_mul, q8_right_matrix_int
 
 

@@ -5,9 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from q8sculpt.blocks import contact_transfer_matrix
 from q8sculpt.cli import main
-from q8sculpt.hypercube import sixteen_cell
+from q8sculpt.hypercube import contact_transfer_matrix, sixteen_cell
 from q8sculpt.mesh_pipeline import load_obj, write_obj, Mesh, demo_seed, face_contact_check
 from q8sculpt.symmetry import PointCloud4
 
@@ -143,6 +142,43 @@ def test_close_contact_points_are_exit_2(tmp_path, capsys):
     assert "input-error" in capsys.readouterr().err
 
 
+def test_non_finite_cloud_is_exit_2(tmp_path, capsys):
+    for bad in ("NaN", "Infinity"):
+        cloud_path = tmp_path / f"{bad}.json"
+        cloud_path.write_text(f'{{"points": [[{bad}, 0, 0, 0], [1, 0, 0, 0]]}}')
+        assert run(["verify", "--cloud", str(cloud_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("q8sculpt: error: input-error: points must lie")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        ([], "the following arguments are required: command"),
+        (["sculpt"], "argument command: invalid choice"),
+        (["verify", "--cloud", "x", "--tol=-1"], "argument --tol: '-1' is not a positive number"),
+        (["generate", "--out", "d"], "the following arguments are required: --seed"),
+    ],
+)
+def test_usage_errors_are_one_line_exit_2(capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"q8sculpt: error: input-error: {reason}")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "--help"]])
+def test_help_and_version_exit_0_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
+
+
 def test_malformed_obj_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.obj"
     bad.write_text("v 0 0 0\nf 1 2 9\n")
@@ -242,6 +278,42 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("digraph")
+
+
+_IMPORT_PROBE = """
+import json, sys
+import q8sculpt
+after_import = sorted(m for m in sys.modules if m.startswith("q8sculpt."))
+from q8sculpt.cli import main
+out = sys.argv[1]
+codes = []
+for argv in (
+    ["--version"],
+    ["check-seed", "--seed", "demo", "--out", out + "/seed.json"],
+    ["generate", "--seed", "demo", "--out", out + "/stl", "--format", "stl"],
+    ["generate", "--seed", "demo", "--out", out + "/obj"],
+    ["verify", "--cloud", out + "/obj/cloud.json", "--out", out + "/report.json"],
+):
+    try:
+        codes.append(main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps([after_import, codes, sorted(sys.modules)]))
+"""
+
+
+def test_pipeline_commands_never_load_the_block_calculus(tmp_path):
+    """`import q8sculpt` loads no submodule, and only `cayley` (see
+    test_console_entry_point) needs `q8sculpt.blocks`."""
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    after_import, codes, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert after_import == []
+    assert codes == [0, 0, 0, 0, 0]
+    assert "q8sculpt.symmetry" in loaded
+    assert "q8sculpt.blocks" not in loaded
 
 
 def test_obj_seed_round_trips_through_cli(tmp_path, demo_mesh):

@@ -4,8 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from q8sculpt.blocks import contact_transfer_matrix
-from q8sculpt.hypercube import cells_of_points
+from q8sculpt.hypercube import cells_of_points, contact_transfer_matrix
 from q8sculpt.mesh_pipeline import (
     FLOAT32_MAX,
     Mesh,

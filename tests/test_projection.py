@@ -55,10 +55,10 @@ def test_default_pole_two_distance_classes():
 
 def test_pole_requires_unit_vector():
     with pytest.raises(ValueError):
-        Pole.from_vector(np.array([1.0, 1.0, 0.0, 0.0]))
+        Pole(np.array([1.0, 1.0, 0.0, 0.0]))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
-            Pole.from_vector(np.array([bad, 0.0, 0.0, 0.0]))
+            Pole(np.array([bad, 0.0, 0.0, 0.0]))
 
 
 def test_antipode_maps_to_origin():
@@ -136,8 +136,8 @@ def test_conformality_spot_check(rng):
 
 
 def test_basis_is_deterministic():
-    a = Pole.from_vector(np.array([0.5, 0.5, 0.5, 0.5]))
-    b = Pole.from_vector(np.array([0.5, 0.5, 0.5, 0.5]))
+    a = Pole(np.array([0.5, 0.5, 0.5, 0.5]))
+    b = Pole(np.array([0.5, 0.5, 0.5, 0.5]))
     assert a.basis.tobytes() == b.basis.tobytes()
     assert np.allclose(a.basis @ a.basis.T, np.eye(3), atol=1e-15)
     assert np.max(np.abs(a.basis @ a.p)) <= 1e-15

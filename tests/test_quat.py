@@ -189,6 +189,8 @@ def test_isometry4_validation():
         Isometry4(np.eye(4) * 2.0, "preserving")
     with pytest.raises(ValueError):
         Isometry4(np.eye(4), "reversing")
+    with pytest.raises(ValueError, match="not orthogonal"):
+        Isometry4(np.full((4, 4), np.nan), "preserving")
     mirror = np.diag([-1.0, 1.0, 1.0, 1.0])
     assert Isometry4.from_matrix(mirror).orientation == "reversing"
     composed = Isometry4.from_matrix(mirror) @ Isometry4.from_matrix(mirror)

@@ -234,6 +234,9 @@ def test_point_cloud_validation():
         PointCloud4(np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
         PointCloud4(np.zeros((0, 4)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="unit sphere"):
+            PointCloud4(np.array([[bad, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
 
 
 def test_min_pairwise_distance():
