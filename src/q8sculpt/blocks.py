@@ -86,11 +86,6 @@ def face_arrow(face: tuple[int, int], turn: int) -> np.ndarray:
     return _face_u(face) @ _ROT3_POWERS[axis][(-sign * turn) % 4]
 
 
-def _face_sigma(face: tuple[int, int], turn: int) -> np.ndarray:
-    # one more quarter turn in the turn sense: the motif's transverse direction
-    return face_arrow(face, turn + 1)
-
-
 _TURN_OF_ARROW = {
     face: {tuple(face_arrow(face, t)): t for t in range(4)} for face in FACES
 }
@@ -300,12 +295,16 @@ def verify_line(
 _LOCAL_AXIS_TO_GENERATOR = {0: Q8Element(1, 1), 1: Q8Element(1, 2), 2: Q8Element(1, 3)}
 
 
-def _embed_point(p3: np.ndarray) -> np.ndarray:
-    return np.concatenate(([1], np.asarray(p3, dtype=np.int64)))
-
-
-def _embed_vector(v3: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0], np.asarray(v3, dtype=np.int64)))
+def _frame(cell: Q8Element, face: tuple[int, int], turn: int) -> np.ndarray:
+    """A cell's face frame carried into 4-space by the cell's transport, as
+    three integer rows: the face centre, the motif arrow at ``turn`` and the
+    transverse direction (one more quarter turn in the turn sense)."""
+    axis, sign = face
+    frame = np.zeros((3, 4), dtype=np.int64)
+    frame[0, 0], frame[0, 1 + axis] = 1, sign
+    frame[1, 1:] = face_arrow(face, turn)
+    frame[2, 1:] = face_arrow(face, turn + 1)
+    return frame @ q8_right_matrix_int(cell)
 
 
 def neighbor_cell(cell: Q8Element, face: tuple[int, int]) -> Q8Element:
@@ -339,19 +338,11 @@ class _FaceRecord:
 def _face_records() -> list[_FaceRecord]:
     records = []
     for cell in Q8_ELEMENTS:
-        transport = q8_right_matrix_int(cell)
         for face in FACES:
-            axis, sign = face
-            center3 = np.zeros(3, dtype=np.int64)
-            center3[axis] = sign
-            center = tuple(_embed_point(center3) @ transport)
-            arrows = tuple(
-                tuple(_embed_vector(face_arrow(face, t)) @ transport) for t in range(4)
-            )
-            sigmas = tuple(
-                tuple(_embed_vector(_face_sigma(face, t)) @ transport) for t in range(4)
-            )
-            records.append(_FaceRecord(cell, face, center, arrows, sigmas))
+            frames = [_frame(cell, face, t).tolist() for t in range(4)]
+            arrows = tuple(tuple(f[1]) for f in frames)
+            sigmas = tuple(tuple(f[2]) for f in frames)
+            records.append(_FaceRecord(cell, face, tuple(frames[0][0]), arrows, sigmas))
     return records
 
 
@@ -405,7 +396,6 @@ class HypercubeAssembly:
     """A block placed in every cell by cell transport, plus the match audit."""
 
     block: DecoratedBlock
-    placements: dict[Q8Element, np.ndarray]  # cell -> transport matrix
     gluings: tuple[Gluing, ...]
     failures: tuple[Gluing, ...]
 
@@ -428,7 +418,6 @@ def assemble_hypercube(block: Optional[DecoratedBlock] = None) -> HypercubeAssem
     """
     if block is None:
         block = standard_block()
-    placements = {cell: q8_right_matrix_int(cell) for cell in Q8_ELEMENTS}
     gluings = tuple(gluing_table())
     failures = []
     for gluing in gluings:
@@ -438,7 +427,7 @@ def assemble_hypercube(block: Optional[DecoratedBlock] = None) -> HypercubeAssem
         b = block.faces[gluing.face_b]
         if not faces_match(a, b, gluing.relative_turn):
             failures.append(gluing)
-    return HypercubeAssembly(block, placements, gluings, tuple(failures))
+    return HypercubeAssembly(block, gluings, tuple(failures))
 
 
 # Tangential offsets distinguishing the motifs in the decoration encoding;
@@ -460,15 +449,9 @@ def decoration_cloud(assembly: HypercubeAssembly) -> np.ndarray:
         raise ValueError("decoration encoding requires a fully matched assembly")
     seen: dict[tuple, np.ndarray] = {}
     for cell in Q8_ELEMENTS:
-        transport = assembly.placements[cell]
         for face in FACES:
             dec = assembly.block.faces[face]
-            axis, sign = face
-            center3 = np.zeros(3, dtype=np.int64)
-            center3[axis] = sign
-            center = _embed_point(center3) @ transport
-            arrow = _embed_vector(face_arrow(face, dec.turn)) @ transport
-            sigma = _embed_vector(_face_sigma(face, dec.turn)) @ transport
+            center, arrow, sigma = _frame(cell, face, dec.turn)
             hand = 1 if dec.chirality == "right" else -1
             combo = arrow + hand * sigma
             key_arrow = ("arrow", dec.motif, tuple(center), tuple(arrow))

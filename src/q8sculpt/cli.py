@@ -88,11 +88,9 @@ def _emit(path_text: str | None, payload: str) -> None:
 def _cmd_generate(args: argparse.Namespace) -> int:
     seed = _load_seed(args.seed)
     pole = _parse_pole(args.pole)
-    if args.scale is not None:
-        scale = args.scale
-    else:
-        scale = scale_for_min_feature(seed, pole, args.min_feature)
-    bundle = generate_sculpture(seed, pole, scale)
+    bundle = generate_sculpture(seed, pole, 1.0)
+    scale = args.scale or scale_for_min_feature(bundle.merged, args.min_feature)  # a given --scale is > 0
+    bundle = bundle.scaled(scale)
     merged_stats = feature_stats(bundle.merged)  # refuses degenerate edges before any write
     tiny = float(np.finfo(np.float32).tiny)
     if args.format == "stl" and merged_stats["min_edge"] < tiny:

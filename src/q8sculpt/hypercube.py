@@ -35,10 +35,7 @@ def cell_of_point(v: np.ndarray) -> CellLabel:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (4,):
         raise ValueError(f"expected a 4-vector, got shape {v.shape}")
-    if float(np.linalg.norm(v)) <= ZERO_VECTOR_TOL:
-        raise ValueError("cell_of_point is undefined at the zero vector")
-    axis = int(np.argmax(np.abs(v)))  # argmax returns the first maximum
-    return Q8Element(1 if v[axis] > 0 else -1, axis)
+    return cells_of_points(v[None])[0]
 
 
 def cells_of_points(points: np.ndarray) -> list[CellLabel]:
@@ -47,7 +44,7 @@ def cells_of_points(points: np.ndarray) -> list[CellLabel]:
     norms = np.linalg.norm(points, axis=1)
     if np.any(norms <= ZERO_VECTOR_TOL):
         raise ValueError("cell_of_point is undefined at the zero vector")
-    axes = np.argmax(np.abs(points), axis=1)
+    axes = np.argmax(np.abs(points), axis=1)  # argmax returns the first maximum
     signs = np.where(points[np.arange(len(points)), axes] > 0, 1, -1)
     return [Q8Element(int(s), int(a)) for s, a in zip(signs, axes)]
 

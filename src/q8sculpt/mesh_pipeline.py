@@ -213,13 +213,30 @@ class SculptureBundle:
 
     parts: dict[Q8Element, Mesh]
     merged: Mesh
-    pole: Pole
-    scale: float
 
     def __post_init__(self) -> None:
         total = sum(m.n_vertices for m in self.parts.values())
         if self.merged.n_vertices != total:
             raise ValueError("merged mesh does not cover all parts")
+
+    def scaled(self, scale: float) -> "SculptureBundle":
+        """Every part and the merged mesh multiplied by ``scale``.
+
+        The one check of a scale: raises ValueError unless it is positive
+        and keeps every coordinate within the float32 range that a printed
+        STL can hold.  Scaling acts vertex by vertex, so the scaled merged
+        mesh is the same array as the merge of the scaled parts.
+        """
+        if not scale > 0:
+            raise ValueError("scale must be positive")
+        extent = float(np.max(np.abs(self.merged.vertices), initial=0.0)) * scale
+        if not extent <= FLOAT32_MAX:
+            raise ValueError(
+                f"scale {scale:.6g} puts a coordinate at {extent:.6g}, "
+                f"beyond the float32 range {FLOAT32_MAX:.6g}"
+            )
+        parts = {g: m.scaled(scale) for g, m in self.parts.items()}
+        return SculptureBundle(parts, self.merged.scaled(scale))
 
 
 def merge_meshes(meshes: Sequence[Mesh]) -> Mesh:
@@ -235,22 +252,10 @@ def merge_meshes(meshes: Sequence[Mesh]) -> Mesh:
 
 def generate_sculpture(seed: Mesh, pole: Pole, scale: float = 1.0) -> SculptureBundle:
     """Transform the seed by all eight elements, in the fixed label order,
-    scale uniformly, and merge.
-
-    Raises ValueError when the scale would put a coordinate beyond the
-    float32 range that a printed STL can hold.
-    """
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-    unscaled = {g: transform_mesh(seed, g, pole) for g in Q8_ELEMENTS}
-    extent = max(float(np.max(np.abs(m.vertices))) for m in unscaled.values()) * scale
-    if not extent <= FLOAT32_MAX:
-        raise ValueError(
-            f"scale {scale:.6g} puts a coordinate at {extent:.6g}, "
-            f"beyond the float32 range {FLOAT32_MAX:.6g}"
-        )
-    parts = {g: m.scaled(scale) for g, m in unscaled.items()}
-    return SculptureBundle(parts, merge_meshes(list(parts.values())), pole, scale)
+    merge, and scale uniformly by :meth:`SculptureBundle.scaled` (whose
+    ValueError refuses a bad scale)."""
+    parts = {g: transform_mesh(seed, g, pole) for g in Q8_ELEMENTS}
+    return SculptureBundle(parts, merge_meshes(list(parts.values()))).scaled(scale)
 
 
 def feature_stats(mesh: Mesh) -> dict[str, float]:
@@ -274,13 +279,18 @@ def feature_stats(mesh: Mesh) -> dict[str, float]:
     return {"min_edge": min_edge, "max_edge": max_edge, "ratio": max_edge / min_edge}
 
 
-def scale_for_min_feature(seed: Mesh, pole: Pole, min_feature: float) -> float:
-    """Smallest scale >= 1 making the merged sculpture's shortest edge at
-    least ``min_feature`` model units."""
+def scale_for_min_feature(merged: Mesh, min_feature: float) -> float:
+    """Smallest scale >= 1 making the shortest edge of ``merged``, the
+    sculpture at scale 1, at least ``min_feature`` model units.
+
+    Raises ValueError when that scale overflows the float range.
+    """
     if not min_feature > 0:
         raise ValueError("min_feature must be positive")
-    stats = feature_stats(generate_sculpture(seed, pole, 1.0).merged)
-    return max(1.0, min_feature / stats["min_edge"])
+    scale = max(1.0, min_feature / feature_stats(merged)["min_edge"])
+    if not np.isfinite(scale):
+        raise ValueError(f"--min-feature {min_feature:.6g} needs a scale beyond the float range")
+    return scale
 
 
 @dataclass(frozen=True)

@@ -139,12 +139,6 @@ class Q8Element:
     def __neg__(self) -> "Q8Element":
         return Q8Element(-self.sign, self.axis)
 
-    def inverse(self) -> "Q8Element":
-        return q8_inverse(self)
-
-    def order(self) -> int:
-        return q8_order(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"Q8({self.name})"
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from q8sculpt import mesh_pipeline
 from q8sculpt.cli import main
 from q8sculpt.hypercube import contact_transfer_matrix, sixteen_cell
 from q8sculpt.mesh_pipeline import load_obj, write_obj, Mesh, demo_seed, face_contact_check
@@ -268,6 +269,56 @@ def test_zero_length_edge_is_exit_2(tmp_path, capsys):
     assert run(["stats", "--seed", str(seed_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["q8sculpt: error: input-error: triangle 0 has a zero-length edge"] * 3
+
+
+def test_min_feature_overflow_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["generate", "--seed", "demo", "--out", str(out), "--min-feature", "1e308"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--min-feature" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "v 0.1 0.2 0.3\n"], ids=["no-vertex", "one-vertex"])
+def test_seed_without_triangles_is_exit_2(tmp_path, capsys, text):
+    seed_path = tmp_path / "seed.obj"
+    seed_path.write_text(text)
+    for scale in ([], ["--scale", "2"]):
+        out = tmp_path / f"out{len(scale)}"
+        assert run(["generate", "--seed", str(seed_path), "--out", str(out), *scale]) == 2
+        assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["q8sculpt: error: input-error: feature statistics need a non-empty mesh"] * 2
+
+
+def test_auto_scale_runs_the_eight_legs_once(tmp_path, monkeypatch):
+    calls = []
+    leg = mesh_pipeline.transform_mesh
+
+    def counted_leg(*args):
+        calls.append(args)
+        return leg(*args)
+
+    monkeypatch.setattr(mesh_pipeline, "transform_mesh", counted_leg)
+    assert run(["generate", "--seed", "demo", "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 8
+
+
+def test_auto_scale_equals_its_explicit_scale(tmp_path):
+    auto, explicit = tmp_path / "auto", tmp_path / "explicit"
+    assert run(["generate", "--seed", "demo", "--out", str(auto)]) == 0
+    manifest = json.loads((auto / "manifest.json").read_text())
+    argv = ["generate", "--seed", "demo", "--out", str(explicit), "--scale", repr(manifest["scale"])]
+    assert run(argv) == 0
+    names = sorted(p.name for p in auto.iterdir())
+    assert names == sorted(p.name for p in explicit.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (auto / name).read_bytes() == (explicit / name).read_bytes(), name
+    assert manifest.pop("min_feature") == 0.8
+    rescaled = json.loads((explicit / "manifest.json").read_text())
+    assert rescaled.pop("min_feature") is None
+    assert manifest == rescaled
 
 
 def test_console_entry_point(tmp_path):

@@ -311,7 +311,7 @@ def test_parts_near_pole_have_larger_features(random_seed_mesh):
 
 def test_scale_for_min_feature(random_seed_mesh):
     pole = default_pole()
-    scale = scale_for_min_feature(random_seed_mesh, pole, 0.8)
+    scale = scale_for_min_feature(generate_sculpture(random_seed_mesh, pole, 1.0).merged, 0.8)
     merged = generate_sculpture(random_seed_mesh, pole, scale).merged
     assert feature_stats(merged)["min_edge"] >= 0.8 - 1e-9
 
