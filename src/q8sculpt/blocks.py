@@ -26,6 +26,7 @@ hypercube boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -73,17 +74,11 @@ def screw_step_matrix(axis: int, step: int = 1) -> np.ndarray:
     return _ROT3_POWERS[axis][(-step) % 4].copy()
 
 
-def _face_u(face: tuple[int, int]) -> np.ndarray:
-    axis, _ = face
-    u = np.zeros(3, dtype=np.int64)
-    u[(axis + 1) % 3] = 1
-    return u
-
-
 def face_arrow(face: tuple[int, int], turn: int) -> np.ndarray:
-    """Direction the motif points at the given turn, as an integer 3-vector."""
+    """Direction the motif points at the given turn, as an integer 3-vector:
+    the reference tangent e_((axis+1) % 3) carried by the face's turn."""
     axis, sign = face
-    return _face_u(face) @ _ROT3_POWERS[axis][(-sign * turn) % 4]
+    return _ROT3_POWERS[axis][(-sign * turn) % 4][(axis + 1) % 3].copy()
 
 
 _TURN_OF_ARROW = {
@@ -153,9 +148,7 @@ class DecoratedBlock:
             raise ValueError("expected a signed permutation matrix")
         new_faces = {}
         for (axis, sign), dec in self.faces.items():
-            normal = np.zeros(3, dtype=np.int64)
-            normal[axis] = sign
-            image = normal @ r
+            image = sign * r[axis]
             new_axis = int(np.argmax(np.abs(image)))
             new_sign = int(image[new_axis])
             arrow_image = face_arrow((axis, sign), dec.turn) @ r
@@ -226,13 +219,7 @@ def line_placements(
     block: DecoratedBlock, count: int, axis: int = 0, step: int = 1
 ) -> list[DecoratedBlock]:
     """Blocks of a screw line: block n is the seed turned n*step quarter turns."""
-    single = screw_step_matrix(axis, step)
-    placements = []
-    r = np.eye(3, dtype=np.int64)
-    for _ in range(count):
-        placements.append(block.transform(r))
-        r = r @ single
-    return placements
+    return [block.transform(screw_step_matrix(axis, n * step)) for n in range(count)]
 
 
 def verify_line(
@@ -267,21 +254,12 @@ def verify_line(
         if all(blocks[q] == blocks[p].transform(single) for p, q in pairs):
             screw_step = step
             break
-    screw_order = None
-    if screw_step is not None and screw_step != 0:
-        k = 1
-        while (screw_step * k) % 4 != 0:
-            k += 1
-        screw_order = k
+    screw_order = 4 // math.gcd(screw_step, 4) if screw_step else None
 
     translation_period = None
-    limit = n if wrap else n - 1
-    for period in range(1, limit + 1):
-        if wrap:
-            match = all(blocks[(idx + period) % n] == blocks[idx] for idx in range(n))
-        else:
-            match = all(blocks[idx + period] == blocks[idx] for idx in range(n - period))
-        if match:
+    for period in range(1, n + 1 if wrap else n):
+        compared = range(n if wrap else n - period)
+        if all(blocks[(idx + period) % n] == blocks[idx] for idx in compared):
             translation_period = period
             break
 
@@ -290,10 +268,6 @@ def verify_line(
 
 # ---------------------------------------------------------------------------
 # the hypercube assembly
-
-# local cube axis a corresponds to the quaternion axis a+1 (x->i, y->j, z->k)
-_LOCAL_AXIS_TO_GENERATOR = {0: Q8Element(1, 1), 1: Q8Element(1, 2), 2: Q8Element(1, 3)}
-
 
 def _frame(cell: Q8Element, face: tuple[int, int], turn: int) -> np.ndarray:
     """A cell's face frame carried into 4-space by the cell's transport, as
@@ -308,10 +282,10 @@ def _frame(cell: Q8Element, face: tuple[int, int], turn: int) -> np.ndarray:
 
 
 def neighbor_cell(cell: Q8Element, face: tuple[int, int]) -> Q8Element:
-    """The cell met through the given local face of a cell's block."""
+    """The cell met through the given local face of a cell's block: local
+    axis a steps by the generator of quaternion axis a+1 (x->i, y->j, z->k)."""
     axis, sign = face
-    step = q8_mul(_LOCAL_AXIS_TO_GENERATOR[axis], cell)
-    return Q8Element(sign * step.sign, step.axis)
+    return q8_mul(Q8Element(sign, axis + 1), cell)
 
 
 @dataclass(frozen=True)
@@ -326,26 +300,6 @@ class Gluing:
     chirality_flip: bool
 
 
-@dataclass(frozen=True)
-class _FaceRecord:
-    cell: Q8Element
-    face: tuple[int, int]
-    center: tuple[int, ...]
-    arrows: tuple[tuple[int, ...], ...]  # transported arrow per turn 0..3
-    sigmas: tuple[tuple[int, ...], ...]
-
-
-def _face_records() -> list[_FaceRecord]:
-    records = []
-    for cell in Q8_ELEMENTS:
-        for face in FACES:
-            frames = [_frame(cell, face, t).tolist() for t in range(4)]
-            arrows = tuple(tuple(f[1]) for f in frames)
-            sigmas = tuple(tuple(f[2]) for f in frames)
-            records.append(_FaceRecord(cell, face, tuple(frames[0][0]), arrows, sigmas))
-    return records
-
-
 def gluing_table() -> list[Gluing]:
     """The 24 face gluings of the hypercube, derived from cell transport.
 
@@ -354,38 +308,35 @@ def gluing_table() -> list[Gluing]:
     turn(a) + turn(b) = c (mod 4), and ``chirality_flip`` records that the two
     sides view the square with opposite orientations (they always do).
     """
-    by_center: dict[tuple[int, ...], list[_FaceRecord]] = {}
-    for record in _face_records():
-        by_center.setdefault(record.center, []).append(record)
+    by_center: dict[tuple[int, ...], list[tuple[Q8Element, tuple[int, int]]]] = {}
+    for cell in Q8_ELEMENTS:
+        for face in FACES:
+            center = tuple(_frame(cell, face, 0)[0].tolist())
+            by_center.setdefault(center, []).append((cell, face))
 
     gluings = []
     for center, pair in sorted(by_center.items()):
         if len(pair) != 2:
             raise AssertionError(f"face center {center} shared by {len(pair)} cells")
-        first, second = pair
-        if neighbor_cell(first.cell, first.face) != second.cell:
+        (cell_a, face_a), (cell_b, face_b) = pair
+        if neighbor_cell(cell_a, face_a) != cell_b:
             raise AssertionError("cell adjacency disagrees with face incidence")
-        const = None
-        for t in range(4):
-            if second.arrows[t] == first.arrows[0]:
-                const = t
-                break
+        # frames_a[t]: centre, arrow and transverse of the square seen from a at turn t
+        frames_a = np.stack([_frame(cell_a, face_a, t) for t in range(4)])
+        frames_b = np.stack([_frame(cell_b, face_b, t) for t in range(4)])
+        const = next((t for t in range(4) if np.array_equal(frames_b[t, 1], frames_a[0, 1])), None)
         if const is None:
             raise AssertionError("transported face frames never align")
-        for t in range(4):
-            if second.arrows[(const - t) % 4] != first.arrows[t]:
-                raise AssertionError("gluing demand is not of the constant-sum form")
-        sig_a = np.array(first.sigmas[0])
-        sig_b = np.array(second.sigmas[const % 4])
+        if not np.array_equal(frames_b[(const - np.arange(4)) % 4, 1], frames_a[:, 1]):
+            raise AssertionError("gluing demand is not of the constant-sum form")
+        sig_a, sig_b = frames_a[0, 2], frames_b[const, 2]
         if np.array_equal(sig_b, -sig_a):
             flip = True
         elif np.array_equal(sig_b, sig_a):
             flip = False
         else:
             raise AssertionError("transported transverse directions not aligned")
-        gluings.append(
-            Gluing(first.cell, first.face, second.cell, second.face, const % 4, flip)
-        )
+        gluings.append(Gluing(cell_a, face_a, cell_b, face_b, const, flip))
     if len(gluings) != 24:
         raise AssertionError(f"expected 24 gluings, found {len(gluings)}")
     return gluings

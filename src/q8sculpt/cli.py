@@ -30,7 +30,7 @@ from .mesh_pipeline import (
 )
 from .projection import Pole, PoleProximityError, default_pole
 from .quat import UNIT_NORM_TOL
-from .symmetry import PointCloud4, seed_asymmetry_check, symmetry_group
+from .symmetry import DEFAULT_TOL, PointCloud4, seed_asymmetry_check, symmetry_group
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -103,14 +103,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = args.format
 
+    def render(mesh: Mesh, comment: str) -> bytes:
+        return write_obj(mesh, comments=[comment]) if ext == "obj" else write_stl(mesh)
+
     manifest_parts = []
     for g, mesh in bundle.parts.items():
         name = f"part_{g.name}.{ext}"
-        if ext == "obj":
-            data = write_obj(mesh, comments=[f"q8sculpt part, element {g.name}"])
-        else:
-            data = write_stl(mesh)
-        (out_dir / name).write_bytes(data)
+        (out_dir / name).write_bytes(render(mesh, f"q8sculpt part, element {g.name}"))
         stats = feature_stats(mesh)
         manifest_parts.append(
             {
@@ -123,11 +122,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             }
         )
     merged_name = f"merged.{ext}"
-    if ext == "obj":
-        merged_data = write_obj(bundle.merged, comments=["q8sculpt merged sculpture"])
-    else:
-        merged_data = write_stl(bundle.merged)
-    (out_dir / merged_name).write_bytes(merged_data)
+    (out_dir / merged_name).write_bytes(render(bundle.merged, "q8sculpt merged sculpture"))
 
     cloud = orbit_cloud(seed)
     cloud_name = "cloud.json"
@@ -238,13 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="brute-force symmetry check of a point cloud JSON")
     ver.add_argument("--cloud", required=True, help="cloud JSON path")
-    ver.add_argument("--tol", type=_positive, default=1e-6)
+    ver.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
     ver.add_argument("--out", default=None, help="report path (default stdout)")
     ver.set_defaults(func=_cmd_verify)
 
     chk = sub.add_parser("check-seed", help="asymmetry and face-contact audit of a seed mesh")
     chk.add_argument("--seed", required=True, help="seed OBJ path, or 'demo'")
-    chk.add_argument("--tol", type=_positive, default=1e-6)
+    chk.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
     chk.add_argument("--out", default=None)
     chk.set_defaults(func=_cmd_check_seed)
 

@@ -18,10 +18,9 @@ import numpy as np
 from .quat import Q8Element, Q8_ELEMENTS, q8_right_matrix_int
 from .projection import Pole, PoleProximityError, POLE_PROXIMITY_TOL, radial_to_s3, stereo_project
 from .hypercube import contact_transfer_matrix
-from .symmetry import _dedup, _pairs_within, match_point_sets
+from .symmetry import DEFAULT_TOL, _dedup, _pairs_within, _well_posed_tol
 
 SEED_DOMAIN_TOL = 1e-9
-CONTACT_TOL = 1e-6
 #: Images of seed vertices closer than this are one point of the orbit cloud.
 ORBIT_DEDUP_TOL = 1e-9
 
@@ -329,7 +328,7 @@ class ContactReport:
         }
 
 
-def face_contact_check(seed: Mesh, tol: float = CONTACT_TOL) -> ContactReport:
+def face_contact_check(seed: Mesh, tol: float = DEFAULT_TOL) -> ContactReport:
     """Verify the seed can connect to its transported copies through all six
     cube faces.
 
@@ -338,7 +337,7 @@ def face_contact_check(seed: Mesh, tol: float = CONTACT_TOL) -> ContactReport:
     (point sets compared within ``tol``, after greedy dedup within ``tol``);
     an axis with an empty contact set fails, since nothing would physically
     connect there.  Two -face points closer than ``2 * tol`` make the
-    matching ambiguous and raise ValueError.
+    matching ambiguous and raise ValueError, whatever the two counts are.
     """
     _check_seed_domain(seed)
     axes = []
@@ -352,20 +351,18 @@ def face_contact_check(seed: Mesh, tol: float = CONTACT_TOL) -> ContactReport:
                 AxisContact(letter, False, len(plus), len(minus), (), ())
             )
             continue
-        mapped = plus @ contact_transfer_matrix(axis)
-        ok = len(mapped) == len(minus) and match_point_sets(mapped, minus, tol)
-        unmatched_plus = unmatched_minus = np.zeros((0, 3))
-        if not ok:
-            i, j = _pairs_within(mapped, minus, tol)
-            unmatched_plus, unmatched_minus = np.delete(plus, i, axis=0), np.delete(minus, j, axis=0)
+        _well_posed_tol(minus, tol)
+        # under the guard each +point has at most one -point within tol; a set,
+        # not np.unique, since that would import numpy.ma (~20 ms) on first call
+        i, j = _pairs_within(plus @ contact_transfer_matrix(axis), minus, tol)
         axes.append(
             AxisContact(
                 letter,
-                ok,
+                len(plus) == len(minus) == len(i) == len(set(j.tolist())),
                 len(plus),
                 len(minus),
-                tuple(map(tuple, unmatched_plus.tolist())),
-                tuple(map(tuple, unmatched_minus.tolist())),
+                tuple(map(tuple, np.delete(plus, i, axis=0).tolist())),
+                tuple(map(tuple, np.delete(minus, j, axis=0).tolist())),
             )
         )
     return ContactReport(tuple(axes))

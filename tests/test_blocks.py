@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,62 @@ def test_screw_handedness_is_baked_into_the_block():
     assert not verify_line(line_placements(standard_block(), 5, step=-1)).ok
     assert not verify_line(line_placements(standard_block(), 5, step=2)).ok
     assert not verify_line(line_placements(standard_block(), 5, step=0)).ok
+
+
+def test_every_screw_step_closes_some_line():
+    """Re-turning the +-X faces over all 16 pairs of turns gives lines that
+    verify at every screw step, each with that step's order and period."""
+    expected = {0: (None, 1), 1: (4, 4), 2: (2, 2), 3: (4, 4)}
+    block = standard_block()
+    plus, minus = block.face(0, 1), block.face(0, -1)
+    reached = set()
+    for turn_plus, turn_minus in itertools.product(range(4), repeat=2):
+        faces = dict(block.faces)
+        faces[(0, 1)] = FaceDecoration(plus.motif, plus.chirality, turn_plus)
+        faces[(0, -1)] = FaceDecoration(minus.motif, minus.chirality, turn_minus)
+        for step in range(4):
+            report = verify_line(line_placements(DecoratedBlock(faces), 6, step=step))
+            if report.ok:
+                assert report.screw_step == step
+                assert (report.screw_order, report.translation_period) == expected[step]
+                reached.add(step)
+    assert reached == {0, 1, 2, 3}
+
+
+# gluing_table() in order: (cell_a, face_a, cell_b, face_b)
+GLUING_ORDER = [
+    ("-1", "+X", "-i", "-X"),
+    ("-1", "+Y", "-j", "-Y"),
+    ("-1", "+Z", "-k", "-Z"),
+    ("-1", "-Z", "k", "+Z"),
+    ("-1", "-Y", "j", "+Y"),
+    ("-1", "-X", "i", "+X"),
+    ("-i", "+Z", "-j", "-Z"),
+    ("-i", "-Y", "-k", "+Y"),
+    ("-i", "+Y", "k", "-Y"),
+    ("-i", "-Z", "j", "+Z"),
+    ("-j", "+X", "-k", "-X"),
+    ("-j", "-X", "k", "+X"),
+    ("j", "-X", "-k", "+X"),
+    ("j", "+X", "k", "-X"),
+    ("i", "-Z", "-j", "+Z"),
+    ("i", "+Y", "-k", "-Y"),
+    ("i", "-Y", "k", "+Y"),
+    ("i", "+Z", "j", "-Z"),
+    ("1", "-X", "-i", "+X"),
+    ("1", "-Y", "-j", "+Y"),
+    ("1", "-Z", "-k", "+Z"),
+    ("1", "+Z", "k", "-Z"),
+    ("1", "+Y", "j", "-Y"),
+    ("1", "+X", "i", "-X"),
+]
+
+
+def test_gluing_table_order():
+    names = [
+        (g.cell_a.name, face_name(g.face_a), g.cell_b.name, face_name(g.face_b)) for g in gluing_table()
+    ]
+    assert names == GLUING_ORDER
 
 
 def test_gluing_table_shape_and_uniform_demand():

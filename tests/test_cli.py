@@ -143,6 +143,15 @@ def test_close_contact_points_are_exit_2(tmp_path, capsys):
     assert "input-error" in capsys.readouterr().err
 
 
+def test_ambiguous_minus_face_with_unequal_counts_is_exit_2(tmp_path, capsys):
+    """One +x contact against two -x contacts 1.5 tol apart."""
+    seed_path = tmp_path / "seed.obj"
+    seed_path.write_text("v 1 0.2 0.1\nv -1 0.3 0.3\nv -1 0.3 0.3000015\nv 0 0 0\nf 1 2 4\nf 1 3 4\n")
+    assert run(["check-seed", "--seed", str(seed_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("q8sculpt: error: input-error:") and "ill-posed" in err[0]
+
+
 def test_non_finite_cloud_is_exit_2(tmp_path, capsys):
     for bad in ("NaN", "Infinity"):
         cloud_path = tmp_path / f"{bad}.json"

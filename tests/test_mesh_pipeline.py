@@ -358,6 +358,15 @@ def test_face_contact_fixture_from_gluing_maps(rng):
     assert report.axes[0].plus_count == 0
 
 
+def test_ambiguous_minus_face_raises_whatever_the_counts():
+    """One +X contact against two -X contacts 1.5 tol apart: the -face set is
+    guarded even though the counts already differ."""
+    verts = np.array([[1.0, 0.2, 0.1], [-1.0, 0.3, 0.3], [-1.0, 0.3, 0.3 + 1.5e-6], [0.0, 0.0, 0.0]])
+    seed = Mesh(verts, np.array([(0, 1, 3), (0, 2, 3)]))
+    with pytest.raises(ValueError, match="ill-posed"):
+        face_contact_check(seed, 1e-6)
+
+
 def test_orbit_cloud_counts(random_seed_mesh, demo_mesh):
     # interior seed: nothing coincides
     assert len(orbit_cloud(random_seed_mesh)) == 8 * random_seed_mesh.n_vertices
