@@ -16,13 +16,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .quat import Q8Element, Q8_ELEMENTS, q8_right_matrix_int
-from .projection import Pole, PoleProximityError, POLE_PROXIMITY_TOL, radial_to_s3, stereo_project
+from .projection import Pole, PoleProximityError, radial_to_s3, stereo_project
 from .hypercube import contact_transfer_matrix
 from .symmetry import DEFAULT_TOL, _dedup, _pairs_within, _well_posed_tol
 
 SEED_DOMAIN_TOL = 1e-9
-#: Images of seed vertices closer than this are one point of the orbit cloud.
-ORBIT_DEDUP_TOL = 1e-9
 
 # Largest coordinate a binary STL record can hold.
 FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -195,15 +193,11 @@ def transform_mesh(seed: Mesh, g: Q8Element, pole: Pole) -> Mesh:
     when a transformed vertex lands on the projection pole.
     """
     _check_seed_domain(seed)
-    moved = unprojected_part_points(seed, g)
-    chordal = np.linalg.norm(moved - pole.p, axis=1)
-    bad = np.nonzero(chordal < POLE_PROXIMITY_TOL)[0]
-    if len(bad):
-        raise PoleProximityError(
-            f"seed vertex {int(bad[0])} maps onto the projection pole "
-            f"under element {g.name}"
-        )
-    return Mesh(stereo_project(moved, pole), seed.triangles)
+    try:
+        projected = stereo_project(unprojected_part_points(seed, g), pole)
+    except PoleProximityError as exc:
+        raise PoleProximityError(f"seed {exc} under element {g.name}") from None
+    return Mesh(projected, seed.triangles)
 
 
 @dataclass(frozen=True)
@@ -333,32 +327,29 @@ def face_contact_check(seed: Mesh, tol: float = DEFAULT_TOL) -> ContactReport:
     cube faces.
 
     For each axis, the vertices on the +face must map onto the vertices on
-    the -face under that axis's :func:`~q8sculpt.hypercube.contact_transfer_matrix`
-    (point sets compared within ``tol``, after greedy dedup within ``tol``);
-    an axis with an empty contact set fails, since nothing would physically
-    connect there.  Two -face points closer than ``2 * tol`` make the
-    matching ambiguous and raise ValueError, whatever the two counts are.
+    the -face under that axis's :func:`~q8sculpt.hypercube.contact_transfer_matrix`,
+    point for point within ``tol``; an axis with an empty contact set fails,
+    since nothing would physically connect there.  Two seed vertices closer
+    than ``2 * tol`` make the matching ambiguous and raise ValueError; under
+    that guard the signed-permutation images pair off one to one.
     """
     _check_seed_domain(seed)
+    _well_posed_tol(seed.vertices, tol)
     axes = []
     for axis, letter in enumerate("xyz"):
         coords = seed.vertices[:, axis]
         plus = seed.vertices[np.abs(coords - 1.0) <= tol]
         minus = seed.vertices[np.abs(coords + 1.0) <= tol]
-        plus, minus = plus[_dedup(plus, tol)], minus[_dedup(minus, tol)]
         if len(plus) == 0 or len(minus) == 0:
             axes.append(
                 AxisContact(letter, False, len(plus), len(minus), (), ())
             )
             continue
-        _well_posed_tol(minus, tol)
-        # under the guard each +point has at most one -point within tol; a set,
-        # not np.unique, since that would import numpy.ma (~20 ms) on first call
         i, j = _pairs_within(plus @ contact_transfer_matrix(axis), minus, tol)
         axes.append(
             AxisContact(
                 letter,
-                len(plus) == len(minus) == len(i) == len(set(j.tolist())),
+                len(plus) == len(minus) == len(i),
                 len(plus),
                 len(minus),
                 tuple(map(tuple, np.delete(plus, i, axis=0).tolist())),
@@ -370,11 +361,12 @@ def face_contact_check(seed: Mesh, tol: float = DEFAULT_TOL) -> ContactReport:
 
 def orbit_cloud(seed: Mesh) -> np.ndarray:
     """The sculpture's point cloud on the 3-sphere: all eight images of the
-    seed vertices, with coincident contact points collapsed."""
+    seed vertices, greedily deduplicated within ``DEFAULT_TOL``.  The lift is
+    1-Lipschitz, so contacts matched within that tolerance merge here."""
     _check_seed_domain(seed)
     lifted = radial_to_s3(seed.vertices)
     stacked = np.concatenate([lifted @ q8_right_matrix_int(g) for g in Q8_ELEMENTS])
-    return stacked[_dedup(stacked, ORBIT_DEDUP_TOL)]
+    return stacked[_dedup(stacked, DEFAULT_TOL)]
 
 
 def demo_seed() -> Mesh:

@@ -91,10 +91,10 @@ def stereo_project(points: np.ndarray, pole: Pole) -> np.ndarray:
     """Project unit 4-vectors from the pole onto the hyperplane through the
     origin orthogonal to it, expressed in the pole's fixed basis.
 
-    Raises :class:`PoleProximityError` when any point is within
-    ``POLE_PROXIMITY_TOL`` of the pole: such a point would project to
-    (near-)infinity, meaning part of the design passes through the
-    projection point.
+    Raises :class:`PoleProximityError`, naming the first offending point as
+    "vertex i", when any point is within ``POLE_PROXIMITY_TOL`` of the pole:
+    such a point would project to (near-)infinity, meaning part of the
+    design passes through the projection point.
     """
     points = np.asarray(points, dtype=np.float64)
     single = points.ndim == 1
@@ -104,9 +104,7 @@ def stereo_project(points: np.ndarray, pole: Pole) -> np.ndarray:
     chordal = np.linalg.norm(pts - pole.p, axis=1)
     bad = np.nonzero(chordal < POLE_PROXIMITY_TOL)[0]
     if len(bad):
-        raise PoleProximityError(
-            f"point {int(bad[0])} lies within {POLE_PROXIMITY_TOL} of the pole"
-        )
+        raise PoleProximityError(f"vertex {int(bad[0])} maps onto the projection pole")
     along = pts @ pole.p
     tangential = pts @ pole.basis.T
     out = tangential / (1.0 - along)[:, None]

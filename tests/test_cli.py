@@ -383,3 +383,22 @@ def test_obj_seed_round_trips_through_cli(tmp_path, demo_mesh):
     assert run(["generate", "--seed", str(seed_path), "--out", str(out)]) == 0
     reloaded = load_obj(seed_path.read_bytes())
     assert reloaded.n_vertices == demo_mesh.n_vertices
+
+
+def test_one_matching_rule_from_seed_to_certificate(tmp_path, capsys):
+    """The demo seed with its first -X contact moved 1e-7 in y: the contact
+    audit and the certificate agree at the default tolerance and at 1e-8."""
+    demo = demo_seed()
+    verts = demo.vertices.copy()
+    verts[5, 1] += 1e-7
+    seed_path = tmp_path / "seed.obj"
+    seed_path.write_bytes(write_obj(Mesh(verts, demo.triangles)))
+    out = tmp_path / "bundle"
+    cloud = str(out / "cloud.json")
+    assert run(["check-seed", "--seed", str(seed_path)]) == 0
+    assert run(["generate", "--seed", str(seed_path), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["cloud_points"] == 72
+    assert run(["verify", "--cloud", cloud]) == 0
+    assert run(["check-seed", "--seed", str(seed_path), "--tol", "1e-8"]) == 1
+    assert run(["verify", "--cloud", cloud, "--tol", "1e-8"]) == 1
+    assert "verification-failure" in capsys.readouterr().err

@@ -7,6 +7,8 @@ import pytest
 from q8sculpt.hypercube import cells_of_points, contact_transfer_matrix
 from q8sculpt.mesh_pipeline import (
     FLOAT32_MAX,
+    AxisContact,
+    ContactReport,
     Mesh,
     MeshFormatError,
     demo_seed,
@@ -24,7 +26,7 @@ from q8sculpt.mesh_pipeline import (
 )
 from q8sculpt.projection import PoleProximityError, default_pole, radial_to_s3, stereo_project, stereo_unproject
 from q8sculpt.quat import I, ONE, Q8_ELEMENTS, q8_mul, right_mul_matrix
-from q8sculpt.symmetry import PointCloud4, seed_asymmetry_check
+from q8sculpt.symmetry import PointCloud4, _dedup, _pairs_within, _well_posed_tol, seed_asymmetry_check
 
 TETRA_OBJ = """\
 v 0 0 0
@@ -366,6 +368,101 @@ def test_ambiguous_minus_face_raises_whatever_the_counts():
     with pytest.raises(ValueError, match="ill-posed"):
         face_contact_check(seed, 1e-6)
 
+
+
+def per_axis_face_contact_check(seed, tol):
+    """Reference: the contact audit as it was before the seed-wide guard,
+    with a greedy dedup of each contact set, a guard on each -face set and a
+    count of distinct -face hits."""
+    axes = []
+    for axis, letter in enumerate("xyz"):
+        coords = seed.vertices[:, axis]
+        plus = seed.vertices[np.abs(coords - 1.0) <= tol]
+        minus = seed.vertices[np.abs(coords + 1.0) <= tol]
+        plus, minus = plus[_dedup(plus, tol)], minus[_dedup(minus, tol)]
+        if len(plus) == 0 or len(minus) == 0:
+            axes.append(AxisContact(letter, False, len(plus), len(minus), (), ()))
+            continue
+        _well_posed_tol(minus, tol)
+        i, j = _pairs_within(plus @ contact_transfer_matrix(axis), minus, tol)
+        axes.append(
+            AxisContact(
+                letter,
+                len(plus) == len(minus) == len(i) == len(set(j.tolist())),
+                len(plus),
+                len(minus),
+                tuple(map(tuple, np.delete(plus, i, axis=0).tolist())),
+                tuple(map(tuple, np.delete(minus, j, axis=0).tolist())),
+            )
+        )
+    return ContactReport(tuple(axes))
+
+
+def contact_seed(seed, case, tol):
+    """A face-connectable seed (two markers per face, placed by the transfer
+    maps), then altered by ``case``: "pass" leaves it, "moved" shifts one
+    X marker inwards by a multiple of tol, "extra" adds a third +X marker with
+    no -X partner, "empty" pulls the X markers off their faces."""
+    gen = np.random.default_rng(seed)
+    verts = [gen.uniform(-0.5, 0.5, size=(3, 3))]
+    for axis in range(3):
+        plus = gen.uniform(-0.8, 0.8, size=(2, 3))
+        plus[:, axis] = 1.0
+        verts += [plus, plus @ contact_transfer_matrix(axis)]
+    verts = np.concatenate(verts)
+    tris = [(0, 1, 2)] + [(k % 3, 3 + 2 * k, 4 + 2 * k) for k in range(6)]
+    if case == "moved":
+        k = int(gen.integers(3, 7))
+        step = gen.normal(size=3)
+        step[0] = -np.sign(verts[k, 0]) * abs(step[0])
+        verts[k] += gen.choice([0.25, 0.75, 1.25, 4.0, 40.0]) * tol * step / np.linalg.norm(step)
+    elif case == "extra":
+        extra = np.append(1.0, gen.uniform(-0.8, 0.8, size=2))
+        verts = np.concatenate([verts, [extra]])
+        tris.append((0, 1, len(verts) - 1))
+    elif case == "empty":
+        verts[3:7, 0] *= 0.5
+    return Mesh(verts, np.array(tris))
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+@pytest.mark.parametrize("case", ["pass", "moved", "extra", "empty"])
+def test_contact_audit_matches_the_per_axis_reference(case, tol):
+    """Wherever the seed guard passes, the seed-wide guard gives the same
+    report as per-axis dedup, guard and distinct-hit count; elsewhere it
+    refuses the seed."""
+    x_verdicts = set()
+    for s in range(12):
+        seed = contact_seed(s, case, tol)
+        try:
+            _well_posed_tol(seed.vertices, tol)
+        except ValueError:
+            with pytest.raises(ValueError, match="ill-posed"):
+                face_contact_check(seed, tol)
+            continue
+        report = face_contact_check(seed, tol).to_dict()
+        assert report == per_axis_face_contact_check(seed, tol).to_dict()
+        x = report["axes"]["x"]
+        x_verdicts.add(x["passed"])
+        assert report["axes"]["y"]["passed"] and report["axes"]["z"]["passed"]
+        if case == "extra":
+            assert (x["plus_count"], x["minus_count"], len(x["unmatched_plus"])) == (3, 2, 1)
+        elif case == "empty":
+            assert (x["plus_count"], x["minus_count"]) == (0, 0)
+    assert x_verdicts == {"pass": {True}, "moved": {True, False}}.get(case, {False})
+
+
+def test_contact_within_tol_of_another_is_ill_posed(demo_mesh):
+    """A second +X contact 5e-7 from the first, with its -X image: greedy
+    dedup merged each pair and passed the axis with counts 2/2; the seed
+    guard refuses the seed instead."""
+    extra = demo_mesh.vertices[3] + np.array([0.0, 5e-7, 0.0])
+    verts = np.concatenate([demo_mesh.vertices, [extra, extra @ contact_transfer_matrix(0)]])
+    seed = Mesh(verts, demo_mesh.triangles)
+    x = per_axis_face_contact_check(seed, 1e-6).to_dict()["axes"]["x"]
+    assert (x["passed"], x["plus_count"], x["minus_count"]) == (True, 2, 2)
+    with pytest.raises(ValueError, match="ill-posed"):
+        face_contact_check(seed, 1e-6)
 
 def test_orbit_cloud_counts(random_seed_mesh, demo_mesh):
     # interior seed: nothing coincides
