@@ -32,14 +32,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quat import (
-    Q8Element,
-    Q8_ELEMENTS,
-    GENERATORS,
-    q8_mul,
-    q8_right_matrix_int,
-)
+from .quat import ONE, Q8Element, Q8_ELEMENTS, GENERATORS, q8_mul, q8_right_matrix_int
 from .hypercube import _quarter_turn, signed_permutation_matrices
+from .mesh_pipeline import Mesh, orbit_cloud
 
 MOTIFS = ("face", "paw", "tail")
 CHIRALITIES = ("left", "right")
@@ -387,33 +382,33 @@ _MOTIF_OFFSET = {"face": 0.11, "paw": 0.13, "tail": 0.17}
 _CHIRALITY_OFFSET = 0.07
 
 
-def decoration_cloud(assembly: HypercubeAssembly) -> np.ndarray:
-    """Encode a valid assembly's decorations as a point cloud on the 3-sphere.
+def block_seed(block: DecoratedBlock) -> Mesh:
+    """The block as a seed mesh in the cube: two marker vertices per face,
+    in :data:`FACES` order.  With centre, arrow and transverse the rows of
+    the face's cell-1 frame (w dropped), one marker lies along the motif
+    arrow at a motif-specific distance, the other off-axis on the motif's
+    handedness side.  Three triangles join each +face's markers to the
+    -face's arrow marker.  A valid assembly's matched squares receive the
+    same marker from both incident cells, so the seed passes the contact
+    audit exactly when :func:`assemble_hypercube` matches all 24 squares."""
+    vertices = []
+    for face in FACES:
+        dec = block.faces[face]
+        center, arrow, sigma = _frame(ONE, face, dec.turn)[:, 1:]
+        hand = 1 if dec.chirality == "right" else -1
+        vertices.append(center + _MOTIF_OFFSET[dec.motif] * arrow)
+        vertices.append(center + _CHIRALITY_OFFSET * (arrow + hand * sigma))
+    return Mesh(np.array(vertices), [(4 * a, 4 * a + 1, 4 * a + 2) for a in range(3)])
 
-    Every decorated face contributes two points inside its square: one along
-    the motif arrow at a motif-specific distance, one off-axis on the motif's
-    handedness side.  A matched square receives identical points from both
-    incident cells, so the cloud has one pair per square (48 points) and its
-    symmetries are exactly the isometries preserving the decorated assembly.
-    """
+
+def decoration_cloud(assembly: HypercubeAssembly) -> np.ndarray:
+    """A valid assembly's decorations as a point cloud on the 3-sphere: the
+    orbit cloud of :func:`block_seed`, one marker pair per shared square
+    (48 points), whose symmetries are exactly the isometries preserving the
+    decorated assembly.  Raises ValueError on an assembly with a mismatch."""
     if not assembly.valid:
         raise ValueError("decoration encoding requires a fully matched assembly")
-    seen: dict[tuple, np.ndarray] = {}
-    for cell in Q8_ELEMENTS:
-        for face in FACES:
-            dec = assembly.block.faces[face]
-            center, arrow, sigma = _frame(cell, face, dec.turn)
-            hand = 1 if dec.chirality == "right" else -1
-            combo = arrow + hand * sigma
-            key_arrow = ("arrow", dec.motif, tuple(center), tuple(arrow))
-            key_hand = ("hand", tuple(center), tuple(combo))
-            if key_arrow not in seen:
-                point = center + _MOTIF_OFFSET[dec.motif] * arrow
-                seen[key_arrow] = point / np.linalg.norm(point)
-            if key_hand not in seen:
-                point = center + _CHIRALITY_OFFSET * combo
-                seen[key_hand] = point / np.linalg.norm(point)
-    return np.array(list(seen.values()), dtype=np.float64)
+    return orbit_cloud(block_seed(assembly.block))
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             f"scale {scale:.6g} shrinks the shortest edge to {merged_stats['min_edge']:.3g}, "
             f"below the smallest normal float32 ({tiny:.3g}) that binary STL can hold"
         )
+    cloud = orbit_cloud(seed)  # refuses an ill-posed cloud before any write
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -124,7 +125,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     merged_name = f"merged.{ext}"
     (out_dir / merged_name).write_bytes(render(bundle.merged, "q8sculpt merged sculpture"))
 
-    cloud = orbit_cloud(seed)
     cloud_name = "cloud.json"
     (out_dir / cloud_name).write_text(PointCloud4(cloud).to_json())
 

@@ -362,11 +362,16 @@ def face_contact_check(seed: Mesh, tol: float = DEFAULT_TOL) -> ContactReport:
 def orbit_cloud(seed: Mesh) -> np.ndarray:
     """The sculpture's point cloud on the 3-sphere: all eight images of the
     seed vertices, greedily deduplicated within ``DEFAULT_TOL``.  The lift is
-    1-Lipschitz, so contacts matched within that tolerance merge here."""
+    1-Lipschitz, so contacts matched within that tolerance merge here.
+
+    Raises ValueError when two kept points lie within ``2 * DEFAULT_TOL``,
+    where the guard of ``verify`` would refuse the cloud as ill-posed."""
     _check_seed_domain(seed)
     lifted = radial_to_s3(seed.vertices)
     stacked = np.concatenate([lifted @ q8_right_matrix_int(g) for g in Q8_ELEMENTS])
-    return stacked[_dedup(stacked, DEFAULT_TOL)]
+    cloud = stacked[_dedup(stacked, DEFAULT_TOL)]
+    _well_posed_tol(cloud, DEFAULT_TOL)
+    return cloud
 
 
 def demo_seed() -> Mesh:

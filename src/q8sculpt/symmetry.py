@@ -1,10 +1,10 @@
 """Brute-force exact symmetry detection for point clouds on the 3-sphere.
 
 The candidate universe is the 384 signed coordinate permutations: these are
-precisely the isometries preserving the hypercube's cell decomposition, so
-for cell-aligned sculptures nothing relevant is missed, and the search is
-exact and fast.  Matching is tolerance-based: a candidate survives when it
-maps the cloud bijectively onto itself within the tolerance.
+precisely the isometries preserving the hypercube's cell decomposition.  The
+search over them is exact and fast, but they are not all of O(4): symmetries
+outside them go unseen.  Matching is tolerance-based: a candidate survives
+when it maps the cloud bijectively onto itself within the tolerance.
 """
 
 from __future__ import annotations

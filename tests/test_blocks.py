@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from q8sculpt.blocks import (
+    CHIRALITIES,
     FACES,
+    MOTIFS,
     DecoratedBlock,
     FaceDecoration,
+    _frame,
+    _CHIRALITY_OFFSET,
+    _MOTIF_OFFSET,
     assemble_hypercube,
+    block_seed,
     block_symmetries,
     cayley_graph,
+    decoration_cloud,
     face_name,
     faces_match,
     follow_path,
@@ -22,7 +29,9 @@ from q8sculpt.blocks import (
     verify_line,
 )
 from q8sculpt.hypercube import contact_transfer_matrix, signed_permutation_matrices
+from q8sculpt.mesh_pipeline import face_contact_check
 from q8sculpt.quat import GENERATORS, I, J, K, MINUS_ONE, ONE, Q8_ELEMENTS, q8_mul, q8_right_matrix_int
+from q8sculpt.symmetry import DEFAULT_TOL, _carrying, _Index
 
 
 def test_standard_block_decorations():
@@ -320,3 +329,68 @@ def test_decoration_cloud_requires_valid_assembly():
     broken = assemble_hypercube(DecoratedBlock(faces))
     with pytest.raises(ValueError):
         decoration_cloud(broken)
+
+
+def _transported_markers(block):
+    """Reference for the decoration cloud, independent of the seed pipeline:
+    each cell's two markers per face, built from the cell-transported frame
+    in 4-space and normalised onto the 3-sphere (matched squares repeat)."""
+    points = []
+    for cell in Q8_ELEMENTS:
+        for face in FACES:
+            dec = block.faces[face]
+            center, arrow, sigma = _frame(cell, face, dec.turn)
+            hand = 1 if dec.chirality == "right" else -1
+            points.append(center + _MOTIF_OFFSET[dec.motif] * arrow)
+            points.append(center + _CHIRALITY_OFFSET * (arrow + hand * sigma))
+    points = np.array(points, dtype=np.float64)
+    return points / np.linalg.norm(points, axis=1, keepdims=True)
+
+
+def _seed_symmetries(block):
+    """The signed 3x3 permutations carrying the block's seed vertices onto
+    themselves, found by the matcher that `seed_asymmetry_check` uses."""
+    points = block_seed(block).vertices
+    cube_maps = np.stack(signed_permutation_matrices(3))
+    return [cube_maps[k].tolist() for k in _carrying(points, cube_maps, _Index(points, DEFAULT_TOL))]
+
+
+ONE_FACE_VARIANTS = list(itertools.product(FACES, MOTIFS, CHIRALITIES, range(4)))
+
+
+@pytest.mark.parametrize(
+    "face, motif, chirality, turn",
+    ONE_FACE_VARIANTS,
+    ids=[f"{face_name(f)}-{m}-{c}-{t}" for f, m, c, t in ONE_FACE_VARIANTS],
+)
+def test_block_seed_is_the_assembly(face, motif, chirality, turn):
+    """Over every one-face variant of the standard block: the seed's contact
+    audit is the 24-gluing audit, the seed's cube symmetries are the block's,
+    and a valid assembly's decoration cloud is the cell-transported markers."""
+    faces = dict(standard_block().faces)
+    faces[face] = FaceDecoration(motif, chirality, turn)
+    block = DecoratedBlock(faces)
+    assembly = assemble_hypercube(block)
+    assert face_contact_check(block_seed(block)).passed == assembly.valid
+    assert _seed_symmetries(block) == [r.tolist() for r in block_symmetries(block)]
+
+    if assembly.valid:
+        cloud = decoration_cloud(assembly)
+        gaps = np.linalg.norm(cloud[:, None] - _transported_markers(block)[None], axis=-1)
+        assert cloud.shape == (48, 4)
+        assert gaps.min(axis=0).max() <= 1e-15 and gaps.min(axis=1).max() <= 1e-15
+
+
+def test_block_seed_keeps_the_symmetries_of_symmetric_blocks():
+    """Single-motif blocks with random chiralities and turns, some of them
+    symmetric: the seed's cube symmetries are still the block's."""
+    gen = np.random.default_rng(11)
+    orders = set()
+    for _ in range(300):
+        motif = MOTIFS[gen.integers(3)]
+        faces = {f: FaceDecoration(motif, CHIRALITIES[gen.integers(2)], int(gen.integers(4))) for f in FACES}
+        block = DecoratedBlock(faces)
+        expected = [r.tolist() for r in block_symmetries(block)]
+        assert _seed_symmetries(block) == expected
+        orders.add(len(expected))
+    assert orders >= {1, 2}

@@ -402,3 +402,42 @@ def test_one_matching_rule_from_seed_to_certificate(tmp_path, capsys):
     assert run(["check-seed", "--seed", str(seed_path), "--tol", "1e-8"]) == 1
     assert run(["verify", "--cloud", cloud, "--tol", "1e-8"]) == 1
     assert "verification-failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dy, gap", [(1.5e-6, "5.09e-07"), (2.5e-6, "8.49e-07")])
+def test_generate_refuses_a_cloud_that_verify_would_refuse(tmp_path, capsys, dy, gap):
+    """The demo seed with its first -X contact moved 1.5 (2.5) tol in y: the
+    audit fails the contact, and its two lifted images land between tol and
+    2 tol apart, so `generate` exits 2 before writing anything."""
+    demo = demo_seed()
+    verts = demo.vertices.copy()
+    verts[5, 1] += dy
+    seed_path = tmp_path / "seed.obj"
+    seed_path.write_bytes(write_obj(Mesh(verts, demo.triangles)))
+    assert run(["check-seed", "--seed", str(seed_path)]) == 1
+    capsys.readouterr()
+    out = tmp_path / "bundle"
+    assert run(["generate", "--seed", str(seed_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("q8sculpt: error: input-error:")
+    assert err[0].endswith(f"({gap}); matching would be ill-posed")
+    assert not out.exists()
+
+
+def test_decorated_block_is_a_seed(tmp_path, capsys):
+    """The paper's object, the standard block written as an OBJ seed, passes
+    the audit and generates a 48-point cloud certified as exactly Q8."""
+    from q8sculpt.blocks import block_seed, standard_block
+
+    seed_path = tmp_path / "block.obj"
+    seed_path.write_bytes(write_obj(block_seed(standard_block())))
+    out = tmp_path / "bundle"
+    assert run(["check-seed", "--seed", str(seed_path)]) == 0
+    assert run(["generate", "--seed", str(seed_path), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["cloud_points"] == 48
+    report_path = tmp_path / "report.json"
+    assert run(["verify", "--cloud", str(out / "cloud.json"), "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["is_exactly_q8"] is True
+    assert report["chirality"] == "metachiral"
+    assert capsys.readouterr().err == ""

@@ -1,16 +1,27 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from q8sculpt.hypercube import (
+    candidate_stack,
     hyperoctahedral_candidates,
     q8_right_isometries,
     signed_permutation_matrices,
     sixteen_cell,
 )
+from q8sculpt.mesh_pipeline import Mesh, demo_seed, face_contact_check, orbit_cloud
 from q8sculpt.projection import radial_to_s3
-from q8sculpt.quat import Isometry4, Q8_ELEMENTS, left_mul_matrix, matrix_key
+from q8sculpt.quat import (
+    Isometry4,
+    Q8_ELEMENTS,
+    UnitQuaternion,
+    left_mul_matrix,
+    matrix_key,
+    q8_right_matrix_int,
+    right_mul_matrix,
+)
 from q8sculpt.symmetry import (
     MIRROR_W,
     PointCloud4,
@@ -262,3 +273,40 @@ def test_match_point_sets_guards_its_target():
     with pytest.raises(ValueError, match="ill-posed"):
         match_point_sets(target, target, tol)
 
+
+
+@pytest.fixture(scope="module")
+def eighth_turn_seed():
+    """The demo seed joined with its image under right multiplication by
+    a = e^(i pi/4), moved back into cell 1: a union of orbits of a unit
+    quaternion that normalizes Q8 but is not in it."""
+    demo = demo_seed()
+    a = right_mul_matrix(UnitQuaternion(math.cos(math.pi / 4), math.sin(math.pi / 4), 0, 0))
+    turned = radial_to_s3(demo.vertices) @ a.m
+    moved = np.einsum("nb,gbc->ngc", turned, np.stack([q8_right_matrix_int(g) for g in Q8_ELEMENTS]))
+    in_cell_1 = moved[np.arange(len(turned)), np.argmax(moved[:, :, 0], axis=1)]
+    vertices, index = list(demo.vertices), []
+    for p in in_cell_1[:, 1:] / in_cell_1[:, :1]:
+        gaps = np.linalg.norm(np.array(vertices) - p, axis=1)
+        if gaps.min() <= 1e-9:
+            index.append(int(np.argmin(gaps)))
+        else:
+            index.append(len(vertices))
+            vertices.append(p)
+    triangles = np.concatenate([demo.triangles, np.array(index)[demo.triangles]])
+    return Mesh(np.array(vertices), triangles), a
+
+
+def test_a_symmetry_outside_the_candidates_goes_unseen(eighth_turn_seed):
+    """The 384 candidates are not all of O(4): this seed passes both seed
+    audits, yet right multiplication by a, which is no candidate, also
+    preserves its cloud, so the cloud's group is larger than Q8."""
+    seed, a = eighth_turn_seed
+    assert seed.n_vertices == 24
+    assert seed_asymmetry_check(seed.vertices)
+    assert face_contact_check(seed).passed
+    cloud = PointCloud4(orbit_cloud(seed))
+    assert len(cloud) == 144
+    assert invariant_under(cloud, a)
+    matrices, _ = candidate_stack()
+    assert not np.any(np.all(matrices == a.m, axis=(1, 2)))
