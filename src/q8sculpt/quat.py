@@ -1,6 +1,9 @@
 """Quaternion arithmetic, the eight-element quaternion group, and the 4x4
 rotation matrices induced by quaternion multiplication.
 
+The product of basis units is written out once, in ``_BASIS_MUL``; the group
+product and every multiplication matrix are read off that one table.
+
 Conventions, fixed once here and used by the whole package:
 
 - A quaternion w + x*i + y*j + z*k is stored as coordinates (w, x, y, z).
@@ -33,6 +36,10 @@ _BASIS_MUL = (
     ((1, 2), (-1, 3), (-1, 0), (1, 1)),
     ((1, 3), (1, 2), (-1, 1), (-1, 0)),
 )
+
+#: The table as read-only structure constants P: e_a * e_b = sum_c P[a, b, c] e_c.
+_PRODUCT = np.array([[sign * np.eye(4, dtype=np.int64)[c] for sign, c in row] for row in _BASIS_MUL])
+_PRODUCT.setflags(write=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +90,7 @@ class UnitQuaternion(Quaternion):
 
 
 def mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product a*b, left operand first."""
+    """Hamilton product a*b, left operand first; an oracle apart from the table."""
     w = a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z
     x = a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y
     y = a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x
@@ -242,42 +249,18 @@ def _coords(q: UnitQuaternion | Q8Element) -> tuple[float, float, float, float]:
 
 
 def right_mul_matrix(q: UnitQuaternion | Q8Element) -> Isometry4:
-    """Matrix of v -> v*q on row vectors: ``v @ m`` is the product v*q."""
-    w, x, y, z = _coords(q)
-    m = np.array(
-        [
-            [w, x, y, z],
-            [-x, w, -z, y],
-            [-y, z, w, -x],
-            [-z, -y, x, w],
-        ],
-        dtype=np.float64,
-    )
-    return Isometry4(m, "preserving")
+    """Matrix of v -> v*q on row vectors, ``v @ m`` = v*q: m[a, c] = sum_b P[a, b, c] q_b."""
+    return Isometry4(np.einsum("abc,b->ac", _PRODUCT, _coords(q)), "preserving")
 
 
 def left_mul_matrix(q: UnitQuaternion | Q8Element) -> Isometry4:
-    """Matrix of v -> q*v on row vectors."""
-    w, x, y, z = _coords(q)
-    m = np.array(
-        [
-            [w, x, y, z],
-            [-x, w, z, -y],
-            [-y, -z, w, x],
-            [-z, y, -x, w],
-        ],
-        dtype=np.float64,
-    )
-    return Isometry4(m, "preserving")
+    """Matrix of v -> q*v on row vectors: m[b, c] = sum_a q_a P[a, b, c]."""
+    return Isometry4(np.einsum("a,abc->bc", _coords(q), _PRODUCT), "preserving")
 
 
 def q8_right_matrix_int(g: Q8Element) -> np.ndarray:
-    """Exact integer right-multiplication matrix for a group element."""
-    rows = []
-    for axis in range(4):
-        basis = Q8Element(1, axis)
-        rows.append(q8_mul(basis, g).to_vec4())
-    return np.array(rows, dtype=np.int64)
+    """Exact integer right-multiplication matrix for a group element: row a is e_a * g."""
+    return g.sign * _PRODUCT[:, g.axis]
 
 
 def verify_group_axioms(elements: Sequence[Q8Element]) -> bool:

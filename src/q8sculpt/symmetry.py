@@ -211,11 +211,9 @@ def _carrying(points: np.ndarray, matrices: np.ndarray, index: _Index) -> np.nda
     test runs for every matrix at once, and only the hits are matched in
     full, against the same index, in chunks of about ``_BLOCK`` points.
     """
-    hits = np.arange(len(matrices))
-    if len(points):
-        hits = np.flatnonzero(np.bincount(index.pairs(points[0] @ matrices)[0], minlength=len(matrices)))
+    hits = np.flatnonzero(np.bincount(index.pairs(points[0] @ matrices)[0], minlength=len(matrices)))
     keep = np.zeros(len(hits), dtype=bool)
-    step = _BLOCK // max(len(points), 1) + 1
+    step = _BLOCK // len(points) + 1
     for lo in range(0, len(hits), step):
         keep[lo : lo + step] = index.bijective(points @ matrices[hits[lo : lo + step]])
     return hits[keep]
@@ -250,6 +248,7 @@ def match_point_sets(source: np.ndarray, target: np.ndarray, tol: float) -> bool
 def _well_posed_tol(points: np.ndarray, tol: float) -> None:
     if not tol > 0:
         raise ValueError("tolerance must be positive")
+    _check_resolution(float(np.max(np.abs(points), initial=0.0)), tol)
     separation = min_pairwise_distance(points, 2.0 * tol)
     if tol >= 0.5 * separation:
         raise ValueError(
@@ -293,11 +292,14 @@ def seed_asymmetry_check(points: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True when only the identity cube isometry preserves the seed points.
 
     The seed lives in the cube [-1,1]^3; the candidate symmetries are the 48
-    signed permutations of the three coordinates.
+    signed permutations of the three coordinates.  ValueError when there are
+    no points, since all 48 carry the empty set onto itself.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) array, got shape {points.shape}")
+    if len(points) == 0:
+        raise ValueError("seed has no vertices")
     _well_posed_tol(points, tol)
     matrices = np.stack(signed_permutation_matrices(3))  # the identity first
     return _carrying(points, matrices, _Index(points, tol)).tolist() == [0]
@@ -313,8 +315,9 @@ def classify_chirality(
     no float distance, and g -> g @ MIRROR_W maps the preserving candidates
     onto the reversing ones, so that holds exactly when some survivor
     reverses orientation.  Otherwise chiral, and metachiral when no
-    preserving g conjugates the group S onto the mirror image's group,
-    {g s g^T} != {MIRROR_W s MIRROR_W}: the group itself has a handedness.
+    orientation-reversing candidate h normalizes the group S, {h s h^T} != S:
+    then no rotation g = MIRROR_W h carries S onto the mirror image's group,
+    and the group itself has a handedness.
     ``survivors`` must be ``surviving_candidates(cloud, tol)``; when given,
     nothing is matched or guarded again.
     """
@@ -323,9 +326,8 @@ def classify_chirality(
     if not all(s.is_orientation_preserving for s in survivors):
         return "achiral"
     matrices, preserving = candidate_stack()
-    # the 192 preserving candidates, then the mirror as the last conjugator
-    conjugators = np.concatenate([matrices[preserving], MIRROR_W[None].astype(np.int8)])
+    reversing = matrices[~preserving]
     group = np.stack([s.m for s in survivors]).astype(np.int8)
-    conjugates = np.einsum("gab,sbc,gdc->gsad", conjugators, group, conjugators)
-    keys = np.sort(_codes(conjugates), axis=1)
-    return "chiral" if np.any(np.all(keys[:-1] == keys[-1], axis=1)) else "metachiral"
+    conjugates = np.einsum("hab,sbc,hdc->hsad", reversing, group, reversing)
+    normalized = np.all(np.sort(_codes(conjugates), axis=1) == np.sort(_codes(group)), axis=1)
+    return "chiral" if np.any(normalized) else "metachiral"

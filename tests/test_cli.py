@@ -123,9 +123,21 @@ def test_tolerance_at_float_resolution_is_exit_2(tmp_path, capsys):
     assert run(["verify", "--cloud", str(out / "cloud.json"), "--tol", "1e-300"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("q8sculpt: error: input-error:") and "float resolution" in err
+    assert "tolerance 1e-300 " in err  # the value given, not the guard's radius
     assert run(["check-seed", "--seed", "demo", "--tol", "1e-300"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("q8sculpt: error: input-error:") and "float resolution" in err
+    assert "tolerance 1e-300 " in err
+
+
+def test_check_seed_refuses_an_empty_seed(tmp_path, capsys):
+    """All 48 cube maps carry the empty set onto itself: no verdict to give."""
+    seed_path = tmp_path / "empty.obj"
+    seed_path.write_text("# no vertices\n")
+    assert run(["check-seed", "--seed", str(seed_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["q8sculpt: error: input-error: seed has no vertices"]
 
 
 def test_close_contact_points_are_exit_2(tmp_path, capsys):

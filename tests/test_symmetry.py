@@ -274,39 +274,115 @@ def test_match_point_sets_guards_its_target():
         match_point_sets(target, target, tol)
 
 
+def _generated(gens):
+    """Every product of the integer matrices in ``gens``, the identity first."""
+    group = {np.eye(4, dtype=np.int64).tobytes(): np.eye(4, dtype=np.int64)}
+    frontier = list(group.values())
+    while frontier:
+        products = [a @ g for a in frontier for g in gens]
+        frontier = [p for p in products if p.tobytes() not in group]
+        group.update((p.tobytes(), p) for p in frontier)
+    return np.stack(list(group.values()))
 
-@pytest.fixture(scope="module")
-def eighth_turn_seed():
-    """The demo seed joined with its image under right multiplication by
-    a = e^(i pi/4), moved back into cell 1: a union of orbits of a unit
-    quaternion that normalizes Q8 but is not in it."""
+
+def _mirror_conjugator_rule(survivors):
+    """Reference: chiral when some orientation-preserving candidate g
+    conjugates the group onto the mirror image's group, {g s g^T} =
+    {MIRROR_W s MIRROR_W}."""
+    if not all(s.is_orientation_preserving for s in survivors):
+        return "achiral"
+    group = [np.rint(s.m).astype(np.int64) for s in survivors]
+    mirror_group = {matrix_key(MIRROR_W @ s @ MIRROR_W) for s in group}
+    for candidate in hyperoctahedral_candidates():
+        g = np.rint(candidate.m).astype(np.int64)
+        if not candidate.is_orientation_preserving:
+            continue
+        if {matrix_key(g @ s @ g.T) for s in group} == mirror_group:
+            return "chiral"
+    return "metachiral"
+
+
+def test_normalizer_rule_agrees_with_the_mirror_conjugator_rule():
+    """Each cloud is the orbit of one or two random unit points under the
+    subgroup generated by one or two random candidates."""
+    gen = np.random.default_rng(12)
+    matrices, _ = candidate_stack()
+    verdicts = []
+    for _ in range(60):
+        group = _generated(matrices[gen.choice(384, size=gen.integers(1, 3))].astype(np.int64))
+        points = gen.normal(size=(gen.integers(1, 3), 4))
+        cloud = PointCloud4(np.concatenate(points / np.linalg.norm(points, axis=1, keepdims=True) @ group))
+        survivors = surviving_candidates(cloud)
+        verdicts.append(classify_chirality(cloud, survivors=survivors))
+        assert verdicts[-1] == _mirror_conjugator_rule(survivors)
+    assert set(verdicts) == {"achiral", "chiral", "metachiral"}, sorted(verdicts)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        ((math.cos(math.pi / 4), math.sin(math.pi / 4), 0, 0), 1, 24, 144),
+        ((0.5, 0.5, 0.5, 0.5), 2, 33, 216),
+    ],
+    ids=["eighth-turn", "sixth-turn"],
+)
+def turned_seed(request):
+    """The demo seed joined with its images under right multiplication by
+    a, ..., a^n, each moved back into cell 1: a union of orbits of a unit
+    quaternion a that normalizes Q8 but is not in it.  Cases: a = e^(i pi/4)
+    with n = 1, and a = (1+i+j+k)/2 with n = 2.  Also yields the expected
+    seed and cloud sizes."""
+    coords, powers, n_vertices, n_cloud = request.param
     demo = demo_seed()
-    a = right_mul_matrix(UnitQuaternion(math.cos(math.pi / 4), math.sin(math.pi / 4), 0, 0))
-    turned = radial_to_s3(demo.vertices) @ a.m
-    moved = np.einsum("nb,gbc->ngc", turned, np.stack([q8_right_matrix_int(g) for g in Q8_ELEMENTS]))
-    in_cell_1 = moved[np.arange(len(turned)), np.argmax(moved[:, :, 0], axis=1)]
-    vertices, index = list(demo.vertices), []
-    for p in in_cell_1[:, 1:] / in_cell_1[:, :1]:
-        gaps = np.linalg.norm(np.array(vertices) - p, axis=1)
-        if gaps.min() <= 1e-9:
-            index.append(int(np.argmin(gaps)))
-        else:
-            index.append(len(vertices))
-            vertices.append(p)
-    triangles = np.concatenate([demo.triangles, np.array(index)[demo.triangles]])
-    return Mesh(np.array(vertices), triangles), a
+    a = right_mul_matrix(UnitQuaternion(*coords))
+    q8 = np.stack([q8_right_matrix_int(g) for g in Q8_ELEMENTS])
+    vertices, triangles, turned = list(demo.vertices), [demo.triangles], radial_to_s3(demo.vertices)
+    for _ in range(powers):
+        turned = turned @ a.m
+        moved = np.einsum("nb,gbc->ngc", turned, q8)
+        in_cell_1 = moved[np.arange(len(turned)), np.argmax(moved[:, :, 0], axis=1)]
+        index = []
+        for p in in_cell_1[:, 1:] / in_cell_1[:, :1]:
+            gaps = np.linalg.norm(np.array(vertices) - p, axis=1)
+            if gaps.min() <= 1e-9:
+                index.append(int(np.argmin(gaps)))
+            else:
+                index.append(len(vertices))
+                vertices.append(p)
+        triangles.append(np.array(index)[demo.triangles])
+    return Mesh(np.array(vertices), np.concatenate(triangles)), a, n_vertices, n_cloud
 
 
-def test_a_symmetry_outside_the_candidates_goes_unseen(eighth_turn_seed):
+def test_a_symmetry_outside_the_candidates_goes_unseen(turned_seed):
     """The 384 candidates are not all of O(4): this seed passes both seed
     audits, yet right multiplication by a, which is no candidate, also
     preserves its cloud, so the cloud's group is larger than Q8."""
-    seed, a = eighth_turn_seed
-    assert seed.n_vertices == 24
+    seed, a, n_vertices, n_cloud = turned_seed
+    assert seed.n_vertices == n_vertices
     assert seed_asymmetry_check(seed.vertices)
     assert face_contact_check(seed).passed
     cloud = PointCloud4(orbit_cloud(seed))
-    assert len(cloud) == 144
+    assert len(cloud) == n_cloud
     assert invariant_under(cloud, a)
     matrices, _ = candidate_stack()
     assert not np.any(np.all(matrices == a.m, axis=(1, 2)))
+
+
+#: The ten orientation-reversing cube maps of order 2.
+_CUBE_REFLECTIONS = [
+    r for r in signed_permutation_matrices(3) if np.linalg.det(r) < 0 and np.array_equal(r @ r, np.eye(3))
+]
+
+
+@pytest.mark.parametrize("r", _CUBE_REFLECTIONS)
+def test_a_mirror_symmetric_seed_can_still_give_exactly_q8(r):
+    """The 48-map seed audit is not necessary for the certificate: a seed
+    A u A r with a cube reflection r of order 2 fails it, yet the orbit
+    cloud's survivors are exactly the eight right multiplications."""
+    points = np.random.default_rng(5).uniform(-0.9, 0.9, (10, 3))
+    seed = Mesh(np.concatenate([points, points @ r]), np.array([[0, 1, 2]]))
+    assert not seed_asymmetry_check(seed.vertices)
+    report = symmetry_group(PointCloud4(orbit_cloud(seed)))
+    assert len(report.symmetries) == 8
+    assert report.is_exactly_q8
+    assert report.chirality == "metachiral"
