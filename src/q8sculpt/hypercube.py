@@ -126,8 +126,7 @@ def candidate_stack() -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _candidate_tuple() -> tuple[Isometry4, ...]:
-    matrices, preserving = candidate_stack()
-    return tuple(Isometry4(m, "preserving" if p else "reversing") for m, p in zip(matrices, preserving))
+    return tuple(Isometry4(m) for m in candidate_stack()[0])
 
 
 def hyperoctahedral_candidates() -> list[Isometry4]:
@@ -144,4 +143,4 @@ def hyperoctahedral_candidates() -> list[Isometry4]:
 
 def q8_right_isometries() -> list[Isometry4]:
     """The eight right-multiplication matrices, in the group label order."""
-    return [Isometry4(q8_right_matrix_int(g).astype(np.float64), "preserving") for g in Q8_ELEMENTS]
+    return [Isometry4(q8_right_matrix_int(g)) for g in Q8_ELEMENTS]

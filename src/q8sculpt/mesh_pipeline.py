@@ -10,7 +10,7 @@ all eight elements produces the eight copies of the sculpture.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -202,23 +202,21 @@ def transform_mesh(seed: Mesh, g: Q8Element, pole: Pole) -> Mesh:
 
 @dataclass(frozen=True)
 class SculptureBundle:
-    """The eight transformed copies plus their merged union."""
+    """The eight transformed copies, and ``merged``, their union computed
+    from them by :func:`merge_meshes`."""
 
     parts: dict[Q8Element, Mesh]
-    merged: Mesh
+    merged: Mesh = field(init=False)
 
     def __post_init__(self) -> None:
-        total = sum(m.n_vertices for m in self.parts.values())
-        if self.merged.n_vertices != total:
-            raise ValueError("merged mesh does not cover all parts")
+        object.__setattr__(self, "merged", merge_meshes(list(self.parts.values())))
 
     def scaled(self, scale: float) -> "SculptureBundle":
-        """Every part and the merged mesh multiplied by ``scale``.
+        """The bundle of every part multiplied by ``scale``.
 
         The one check of a scale: raises ValueError unless it is positive
         and keeps every coordinate within the float32 range that a printed
-        STL can hold.  Scaling acts vertex by vertex, so the scaled merged
-        mesh is the same array as the merge of the scaled parts.
+        STL can hold.
         """
         if not scale > 0:
             raise ValueError("scale must be positive")
@@ -228,8 +226,7 @@ class SculptureBundle:
                 f"scale {scale:.6g} puts a coordinate at {extent:.6g}, "
                 f"beyond the float32 range {FLOAT32_MAX:.6g}"
             )
-        parts = {g: m.scaled(scale) for g, m in self.parts.items()}
-        return SculptureBundle(parts, self.merged.scaled(scale))
+        return SculptureBundle({g: m.scaled(scale) for g, m in self.parts.items()})
 
 
 def merge_meshes(meshes: Sequence[Mesh]) -> Mesh:
@@ -245,10 +242,9 @@ def merge_meshes(meshes: Sequence[Mesh]) -> Mesh:
 
 def generate_sculpture(seed: Mesh, pole: Pole, scale: float = 1.0) -> SculptureBundle:
     """Transform the seed by all eight elements, in the fixed label order,
-    merge, and scale uniformly by :meth:`SculptureBundle.scaled` (whose
-    ValueError refuses a bad scale)."""
-    parts = {g: transform_mesh(seed, g, pole) for g in Q8_ELEMENTS}
-    return SculptureBundle(parts, merge_meshes(list(parts.values()))).scaled(scale)
+    and scale uniformly by :meth:`SculptureBundle.scaled` (whose ValueError
+    refuses a bad scale)."""
+    return SculptureBundle({g: transform_mesh(seed, g, pole) for g in Q8_ELEMENTS}).scaled(scale)
 
 
 def feature_stats(mesh: Mesh) -> dict[str, float]:
@@ -328,10 +324,12 @@ def face_contact_check(seed: Mesh, tol: float = DEFAULT_TOL) -> ContactReport:
 
     For each axis, the vertices on the +face must map onto the vertices on
     the -face under that axis's :func:`~q8sculpt.hypercube.contact_transfer_matrix`,
-    point for point within ``tol``; an axis with an empty contact set fails,
-    since nothing would physically connect there.  Two seed vertices closer
-    than ``2 * tol`` make the matching ambiguous and raise ValueError; under
-    that guard the signed-permutation images pair off one to one.
+    point for point within ``tol``.  Contacts left without a partner are
+    listed as unmatched: all of them on an axis where only one face has
+    contacts.  An axis with no contact at all fails, since nothing would
+    physically connect there.  Two seed vertices closer than ``2 * tol``
+    make the matching ambiguous and raise ValueError; under that guard the
+    signed-permutation images pair off one to one.
     """
     _check_seed_domain(seed)
     _well_posed_tol(seed.vertices, tol)
@@ -340,16 +338,11 @@ def face_contact_check(seed: Mesh, tol: float = DEFAULT_TOL) -> ContactReport:
         coords = seed.vertices[:, axis]
         plus = seed.vertices[np.abs(coords - 1.0) <= tol]
         minus = seed.vertices[np.abs(coords + 1.0) <= tol]
-        if len(plus) == 0 or len(minus) == 0:
-            axes.append(
-                AxisContact(letter, False, len(plus), len(minus), (), ())
-            )
-            continue
         i, j = _pairs_within(plus @ contact_transfer_matrix(axis), minus, tol)
         axes.append(
             AxisContact(
                 letter,
-                len(plus) == len(minus) == len(i),
+                0 < len(plus) == len(minus) == len(i),
                 len(plus),
                 len(minus),
                 tuple(map(tuple, np.delete(plus, i, axis=0).tolist())),

@@ -189,10 +189,13 @@ def q8_order(a: Q8Element) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Isometry4:
-    """Orthogonal 4x4 matrix acting on row vectors, with an orientation flag."""
+    """Orthogonal 4x4 matrix acting on row vectors.
+
+    Construction checks only the shape and orthogonality; the orientation is
+    a fact of the matrix, read off the sign of its determinant.
+    """
 
     m: np.ndarray
-    orientation: str  # "preserving" or "reversing"
 
     def __post_init__(self) -> None:
         m = np.asarray(self.m, dtype=np.float64)
@@ -200,32 +203,21 @@ class Isometry4:
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.max(np.abs(m @ m.T - np.eye(4))) <= ORTHOGONALITY_TOL:
             raise ValueError("matrix is not orthogonal within tolerance")
-        det = float(np.linalg.det(m))
-        expected = 1.0 if self.orientation == "preserving" else -1.0
-        if self.orientation not in ("preserving", "reversing"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
-        if not abs(det - expected) <= ORTHOGONALITY_TOL:
-            raise ValueError(
-                f"determinant {det} does not match orientation {self.orientation!r}"
-            )
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Isometry4":
-        det = float(np.linalg.det(np.asarray(m, dtype=np.float64)))
-        return cls(np.asarray(m), "preserving" if det > 0 else "reversing")
-
     @property
     def is_orientation_preserving(self) -> bool:
-        return self.orientation == "preserving"
+        return bool(np.linalg.det(self.m) > 0)
+
+    @property
+    def orientation(self) -> str:
+        """Either "preserving" (determinant +1) or "reversing" (determinant -1)."""
+        return "preserving" if self.is_orientation_preserving else "reversing"
 
     def __matmul__(self, other: "Isometry4") -> "Isometry4":
-        orientation = (
-            "preserving" if self.orientation == other.orientation else "reversing"
-        )
-        return Isometry4(self.m @ other.m, orientation)
+        return Isometry4(self.m @ other.m)
 
     def key(self) -> tuple[int, ...]:
         return matrix_key(self.m)
@@ -250,12 +242,12 @@ def _coords(q: UnitQuaternion | Q8Element) -> tuple[float, float, float, float]:
 
 def right_mul_matrix(q: UnitQuaternion | Q8Element) -> Isometry4:
     """Matrix of v -> v*q on row vectors, ``v @ m`` = v*q: m[a, c] = sum_b P[a, b, c] q_b."""
-    return Isometry4(np.einsum("abc,b->ac", _PRODUCT, _coords(q)), "preserving")
+    return Isometry4(np.einsum("abc,b->ac", _PRODUCT, _coords(q)))
 
 
 def left_mul_matrix(q: UnitQuaternion | Q8Element) -> Isometry4:
     """Matrix of v -> q*v on row vectors: m[b, c] = sum_a q_a P[a, b, c]."""
-    return Isometry4(np.einsum("a,abc->bc", _coords(q), _PRODUCT), "preserving")
+    return Isometry4(np.einsum("a,abc->bc", _coords(q), _PRODUCT))
 
 
 def q8_right_matrix_int(g: Q8Element) -> np.ndarray:

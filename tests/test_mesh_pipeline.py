@@ -242,6 +242,10 @@ def test_generate_sculpture_structure(random_seed_mesh):
     assert list(bundle.parts) == list(Q8_ELEMENTS)
     assert bundle.merged.n_vertices == 8 * random_seed_mesh.n_vertices
     assert bundle.merged.n_triangles == 8 * random_seed_mesh.n_triangles
+    for b in (bundle, bundle.scaled(0.5)):
+        merged = merge_meshes(list(b.parts.values()))
+        assert np.array_equal(b.merged.vertices, merged.vertices)
+        assert np.array_equal(b.merged.triangles, merged.triangles)
     with pytest.raises(ValueError):
         generate_sculpture(random_seed_mesh, default_pole(), 0.0)
 
@@ -368,6 +372,27 @@ def test_ambiguous_minus_face_raises_whatever_the_counts():
     with pytest.raises(ValueError, match="ill-posed"):
         face_contact_check(seed, 1e-6)
 
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_one_sided_contact_axis_lists_its_contacts_as_unmatched(sign):
+    """Contacts on only the +X (or only the -X) face: both are unmatched,
+    and the untouched y and z axes list nothing."""
+    verts = np.array([[0.1, -0.05, 0.2], [-0.2, 0.15, -0.1], [sign, 0.35, 0.15], [sign, 0.05, -0.25]])
+    axes = face_contact_check(Mesh(verts, np.array([(0, 2, 3), (0, 1, 2)]))).to_dict()["axes"]
+    contacts = verts[2:].tolist()
+    x = axes["x"]
+    assert not x["passed"]
+    if sign > 0:
+        assert (x["plus_count"], x["minus_count"]) == (2, 0)
+        assert (x["unmatched_plus"], x["unmatched_minus"]) == (contacts, [])
+    else:
+        assert (x["plus_count"], x["minus_count"]) == (0, 2)
+        assert (x["unmatched_plus"], x["unmatched_minus"]) == ([], contacts)
+    for letter in "yz":
+        assert axes[letter] == {
+            "passed": False, "plus_count": 0, "minus_count": 0, "unmatched_plus": [], "unmatched_minus": []
+        }
 
 
 def per_axis_face_contact_check(seed, tol):

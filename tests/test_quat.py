@@ -186,15 +186,34 @@ def test_q8_element_validation_and_names():
 
 def test_isometry4_validation():
     with pytest.raises(ValueError):
-        Isometry4(np.eye(4) * 2.0, "preserving")
-    with pytest.raises(ValueError):
-        Isometry4(np.eye(4), "reversing")
+        Isometry4(np.eye(4) * 2.0)
     with pytest.raises(ValueError, match="not orthogonal"):
-        Isometry4(np.full((4, 4), np.nan), "preserving")
+        Isometry4(np.full((4, 4), np.nan))
     mirror = np.diag([-1.0, 1.0, 1.0, 1.0])
-    assert Isometry4.from_matrix(mirror).orientation == "reversing"
-    composed = Isometry4.from_matrix(mirror) @ Isometry4.from_matrix(mirror)
+    assert Isometry4(mirror).orientation == "reversing"
+    composed = Isometry4(mirror) @ Isometry4(mirror)
     assert composed.orientation == "preserving"
+
+
+def test_orientation_is_the_sign_of_the_determinant():
+    """Seeded random orthogonal matrices from QR, reflections included: the
+    orientation follows det, and a product's follows the sign rule."""
+    gen = np.random.default_rng(11)
+    isos, signs = [], []
+    for _ in range(40):
+        q, _ = np.linalg.qr(gen.normal(size=(4, 4)))
+        q = q * gen.choice([-1.0, 1.0], size=4)  # flip columns: QR alone fixes det
+        iso = Isometry4(q)
+        isos.append(iso)
+        signs.append(np.linalg.det(q) > 0)
+        assert iso.is_orientation_preserving == signs[-1]
+        assert iso.orientation == ("preserving" if signs[-1] else "reversing")
+    assert set(signs) == {True, False}
+    for a, sa, b, sb in zip(isos, signs, isos[1:], signs[1:]):
+        assert (a @ b).is_orientation_preserving == (sa == sb)
+    for q in random_unit_quaternions(200, seed=13):
+        assert right_mul_matrix(q).orientation == "preserving"
+        assert left_mul_matrix(q).orientation == "preserving"
 
 
 def test_integer_right_matrices_match_float():

@@ -44,7 +44,7 @@ def unit_cloud(n, seed):
 
 def test_identity_is_always_a_symmetry():
     cloud = unit_cloud(25, seed=1)
-    assert invariant_under(cloud, Isometry4.from_matrix(np.eye(4)))
+    assert invariant_under(cloud, Isometry4(np.eye(4)))
 
 
 def test_sixteen_cell_admits_all_candidates():
@@ -67,15 +67,15 @@ def test_tolerance_guard_rejects_ill_posed():
     cloud = PointCloud4(sixteen_cell().vertices.astype(float))
     # min pairwise distance is sqrt(2); anything above half of that is refused
     with pytest.raises(ValueError, match="ill-posed"):
-        invariant_under(cloud, Isometry4.from_matrix(np.eye(4)), tol=0.8)
+        invariant_under(cloud, Isometry4(np.eye(4)), tol=0.8)
     # the guard is strict: at exactly half, two points could share a match
     with pytest.raises(ValueError, match="ill-posed"):
-        invariant_under(cloud, Isometry4.from_matrix(np.eye(4)), tol=np.sqrt(2) / 2)
+        invariant_under(cloud, Isometry4(np.eye(4)), tol=np.sqrt(2) / 2)
     with pytest.raises(ValueError, match="ill-posed"):
         symmetry_group(cloud, tol=np.sqrt(2) / 2)
     assert len(surviving_candidates(cloud, tol=0.7)) == 384
     with pytest.raises(ValueError):
-        invariant_under(cloud, Isometry4.from_matrix(np.eye(4)), tol=-1.0)
+        invariant_under(cloud, Isometry4(np.eye(4)), tol=-1.0)
 
 
 def test_invariance_is_monotone_in_tolerance(sculpture_cloud):
