@@ -56,17 +56,13 @@ _ROT3_POWERS = tuple(
 
 
 def quarter_turn_matrix(axis: int, turns: int = 1) -> np.ndarray:
-    """Rotation by ``turns`` right-handed quarter turns about +e_axis."""
-    return _ROT3_POWERS[axis][turns % 4].copy()
+    """Rotation by ``turns`` right-handed quarter turns about +e_axis.
 
-
-def screw_step_matrix(axis: int, step: int = 1) -> np.ndarray:
-    """Rotation applied per block by a screw of ``step`` quarter turns.
-
-    Positive steps turn in the same sense as face turns (about the inward
+    A screw step of s quarter turns along the axis is ``turns = -s``:
+    positive steps turn in the same sense as face turns (about the inward
     travel direction), i.e. by -90 degrees right-handed about +e_axis each.
     """
-    return _ROT3_POWERS[axis][(-step) % 4].copy()
+    return _ROT3_POWERS[axis][turns % 4].copy()
 
 
 def face_arrow(face: tuple[int, int], turn: int) -> np.ndarray:
@@ -214,7 +210,7 @@ def line_placements(
     block: DecoratedBlock, count: int, axis: int = 0, step: int = 1
 ) -> list[DecoratedBlock]:
     """Blocks of a screw line: block n is the seed turned n*step quarter turns."""
-    return [block.transform(screw_step_matrix(axis, n * step)) for n in range(count)]
+    return [block.transform(quarter_turn_matrix(axis, -n * step)) for n in range(count)]
 
 
 def verify_line(
@@ -245,7 +241,7 @@ def verify_line(
 
     screw_step = None
     for step in (1, 3, 2, 0):
-        single = screw_step_matrix(axis, step)
+        single = quarter_turn_matrix(axis, -step)
         if all(blocks[q] == blocks[p].transform(single) for p, q in pairs):
             screw_step = step
             break
@@ -300,8 +296,9 @@ def gluing_table() -> list[Gluing]:
 
     Each shared square is found by transporting both incident blocks' face
     frames into 4-space; the demanded ``relative_turn`` is the constant c with
-    turn(a) + turn(b) = c (mod 4), and ``chirality_flip`` records that the two
-    sides view the square with opposite orientations (they always do).
+    turn(a) + turn(b) = c (mod 4).  Every gluing mirrors (``chirality_flip``):
+    AssertionError refuses one whose two sides, judged by the transported
+    transverse directions, do not view the square with opposite orientations.
     """
     by_center: dict[tuple[int, ...], list[tuple[Q8Element, tuple[int, int]]]] = {}
     for cell in Q8_ELEMENTS:
@@ -324,14 +321,9 @@ def gluing_table() -> list[Gluing]:
             raise AssertionError("transported face frames never align")
         if not np.array_equal(frames_b[(const - np.arange(4)) % 4, 1], frames_a[:, 1]):
             raise AssertionError("gluing demand is not of the constant-sum form")
-        sig_a, sig_b = frames_a[0, 2], frames_b[const, 2]
-        if np.array_equal(sig_b, -sig_a):
-            flip = True
-        elif np.array_equal(sig_b, sig_a):
-            flip = False
-        else:
-            raise AssertionError("transported transverse directions not aligned")
-        gluings.append(Gluing(cell_a, face_a, cell_b, face_b, const, flip))
+        if not np.array_equal(frames_b[const, 2], -frames_a[0, 2]):
+            raise AssertionError("gluing does not mirror: transverse directions not opposite")
+        gluings.append(Gluing(cell_a, face_a, cell_b, face_b, const, True))
     if len(gluings) != 24:
         raise AssertionError(f"expected 24 gluings, found {len(gluings)}")
     return gluings
@@ -367,8 +359,6 @@ def assemble_hypercube(block: Optional[DecoratedBlock] = None) -> HypercubeAssem
     gluings = tuple(gluing_table())
     failures = []
     for gluing in gluings:
-        if not gluing.chirality_flip:
-            raise AssertionError("mirror matching assumed but gluing preserves orientation")
         a = block.faces[gluing.face_a]
         b = block.faces[gluing.face_b]
         if not faces_match(a, b, gluing.relative_turn):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,13 +34,10 @@ _OBJ_BLOCK = 1024
 
 
 class MeshFormatError(ValueError):
-    """Malformed mesh data; carries the offending input line when known."""
+    """Malformed mesh data; the message names the offending input line."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +178,12 @@ def _check_seed_domain(mesh: Mesh) -> None:
 
 
 def unprojected_part_points(seed: Mesh, g: Q8Element) -> np.ndarray:
-    """Seed vertices radially lifted to the 3-sphere and moved by element g."""
-    lifted = radial_to_s3(seed.vertices)
-    return lifted @ q8_right_matrix_int(g)
+    """Seed vertices radially lifted to the 3-sphere and moved by element g.
+
+    The pipeline's one lift, so the one place where a seed leaves the cube:
+    raises ValueError for a vertex beyond [-1,1]^3 by ``SEED_DOMAIN_TOL``."""
+    _check_seed_domain(seed)
+    return radial_to_s3(seed.vertices) @ q8_right_matrix_int(g)
 
 
 def transform_mesh(seed: Mesh, g: Q8Element, pole: Pole) -> Mesh:
@@ -192,7 +192,6 @@ def transform_mesh(seed: Mesh, g: Q8Element, pole: Pole) -> Mesh:
     Raises :class:`PoleProximityError` naming the seed vertex and the element
     when a transformed vertex lands on the projection pole.
     """
-    _check_seed_domain(seed)
     try:
         projected = stereo_project(unprojected_part_points(seed, g), pole)
     except PoleProximityError as exc:
@@ -359,9 +358,7 @@ def orbit_cloud(seed: Mesh) -> np.ndarray:
 
     Raises ValueError when two kept points lie within ``2 * DEFAULT_TOL``,
     where the guard of ``verify`` would refuse the cloud as ill-posed."""
-    _check_seed_domain(seed)
-    lifted = radial_to_s3(seed.vertices)
-    stacked = np.concatenate([lifted @ q8_right_matrix_int(g) for g in Q8_ELEMENTS])
+    stacked = np.concatenate([unprojected_part_points(seed, g) for g in Q8_ELEMENTS])
     cloud = stacked[_dedup(stacked, DEFAULT_TOL)]
     _well_posed_tol(cloud, DEFAULT_TOL)
     return cloud

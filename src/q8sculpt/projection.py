@@ -78,13 +78,10 @@ def radial_to_s3(points: np.ndarray) -> np.ndarray:
     least 1, so the map is total.
     """
     points = np.asarray(points, dtype=np.float64)
-    single = points.ndim == 1
-    pts = np.atleast_2d(points)
-    if pts.shape[1] != 3:
+    if points.ndim not in (1, 2) or points.shape[-1] != 3:
         raise ValueError(f"expected 3-vectors, got shape {points.shape}")
-    lifted = np.concatenate([np.ones((len(pts), 1)), pts], axis=1)
-    out = lifted / np.linalg.norm(lifted, axis=1, keepdims=True)
-    return out[0] if single else out
+    lifted = np.concatenate([np.ones(points.shape[:-1] + (1,)), points], axis=-1)
+    return lifted / np.linalg.norm(lifted, axis=-1, keepdims=True)
 
 
 def stereo_project(points: np.ndarray, pole: Pole) -> np.ndarray:
@@ -97,28 +94,18 @@ def stereo_project(points: np.ndarray, pole: Pole) -> np.ndarray:
     design passes through the projection point.
     """
     points = np.asarray(points, dtype=np.float64)
-    single = points.ndim == 1
-    pts = np.atleast_2d(points)
-    if pts.shape[1] != 4:
+    if points.ndim not in (1, 2) or points.shape[-1] != 4:
         raise ValueError(f"expected 4-vectors, got shape {points.shape}")
-    chordal = np.linalg.norm(pts - pole.p, axis=1)
-    bad = np.nonzero(chordal < POLE_PROXIMITY_TOL)[0]
+    bad = np.flatnonzero(np.linalg.norm(points - pole.p, axis=-1) < POLE_PROXIMITY_TOL)
     if len(bad):
         raise PoleProximityError(f"vertex {int(bad[0])} maps onto the projection pole")
-    along = pts @ pole.p
-    tangential = pts @ pole.basis.T
-    out = tangential / (1.0 - along)[:, None]
-    return out[0] if single else out
+    return (points @ pole.basis.T) / (1.0 - points @ pole.p)[..., None]
 
 
 def stereo_unproject(points: np.ndarray, pole: Pole) -> np.ndarray:
     """Inverse of :func:`stereo_project`; never returns the pole itself."""
     points = np.asarray(points, dtype=np.float64)
-    single = points.ndim == 1
-    pts = np.atleast_2d(points)
-    if pts.shape[1] != 3:
+    if points.ndim not in (1, 2) or points.shape[-1] != 3:
         raise ValueError(f"expected 3-vectors, got shape {points.shape}")
-    embedded = pts @ pole.basis
-    norm2 = np.sum(pts * pts, axis=1)
-    out = ((norm2 - 1.0)[:, None] * pole.p + 2.0 * embedded) / (norm2 + 1.0)[:, None]
-    return out[0] if single else out
+    norm2 = np.sum(points * points, axis=-1)[..., None]
+    return ((norm2 - 1.0) * pole.p + 2.0 * (points @ pole.basis)) / (norm2 + 1.0)

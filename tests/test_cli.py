@@ -208,6 +208,28 @@ def test_malformed_obj_is_exit_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "obj, argv, reason",
+    [
+        (
+            "",
+            ["generate", "--seed", "demo", "--out", "{out}", "--pole", "0,0,0,0"],
+            "pole cannot be the zero vector",
+        ),
+        ("v 0 0 0\nv 1 2\n", ["stats", "--seed", "{seed}"], "line 2: vertex record needs three coordinates"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n", ["stats", "--seed", "{seed}"], "line 4: bad face index 'x'"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 2\n", ["stats", "--seed", "{seed}"], "line 4: face repeats a vertex"),
+    ],
+    ids=["zero-pole", "short-vertex", "bad-face-index", "repeated-face-vertex"],
+)
+def test_input_refusals_are_one_line_exit_2(tmp_path, capsys, obj, argv, reason):
+    seed_path, out = tmp_path / "seed.obj", tmp_path / "o"
+    seed_path.write_text(obj)
+    assert run([arg.format(seed=seed_path, out=out) for arg in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"q8sculpt: error: input-error: {reason}"]
+    assert not out.exists()
+
+
 def test_vertex_at_pole_is_exit_3(tmp_path, capsys):
     corner = Mesh(
         np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]),
@@ -434,6 +456,31 @@ def test_generate_refuses_a_cloud_that_verify_would_refuse(tmp_path, capsys, dy,
     assert len(err) == 1 and err[0].startswith("q8sculpt: error: input-error:")
     assert err[0].endswith(f"({gap}); matching would be ill-posed")
     assert not out.exists()
+
+
+def test_an_unwelded_seed_is_refused_by_check_seed_but_gives_exactly_q8(tmp_path, capsys):
+    """The demo seed with a copy of vertex 0 used by one extra triangle, as
+    OBJ exporters often write: the seed guard refuses the copy, while
+    `orbit_cloud` merges it, so `generate` and `verify` still give exactly Q8."""
+    demo = demo_seed()
+    verts = np.concatenate([demo.vertices, demo.vertices[:1]])
+    tris = np.concatenate([demo.triangles, [[demo.n_vertices, 1, 2]]])
+    seed_path = tmp_path / "unwelded.obj"
+    seed_path.write_bytes(write_obj(Mesh(verts, tris)))
+    assert run(["check-seed", "--seed", str(seed_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "q8sculpt: error: input-error: tolerance 1e-06 is not below half the minimum "
+        "pairwise distance (0); matching would be ill-posed"
+    ]
+    out = tmp_path / "bundle"
+    assert run(["generate", "--seed", str(seed_path), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["cloud_points"] == 72
+    report_path = tmp_path / "report.json"
+    assert run(["verify", "--cloud", str(out / "cloud.json"), "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["is_exactly_q8"] is True
+    assert report["symmetry_count"] == 8
+    assert report["chirality"] == "metachiral"
 
 
 def test_decorated_block_is_a_seed(tmp_path, capsys):

@@ -25,8 +25,8 @@ from q8sculpt.mesh_pipeline import (
     write_stl,
 )
 from q8sculpt.projection import PoleProximityError, default_pole, radial_to_s3, stereo_project, stereo_unproject
-from q8sculpt.quat import I, ONE, Q8_ELEMENTS, q8_mul, right_mul_matrix
-from q8sculpt.symmetry import PointCloud4, _dedup, _pairs_within, _well_posed_tol, seed_asymmetry_check
+from q8sculpt.quat import I, ONE, Q8_ELEMENTS, q8_mul, q8_right_matrix_int, right_mul_matrix
+from q8sculpt.symmetry import DEFAULT_TOL, PointCloud4, _dedup, _pairs_within, _well_posed_tol, seed_asymmetry_check
 
 TETRA_OBJ = """\
 v 0 0 0
@@ -228,6 +228,10 @@ def test_transform_rejects_out_of_domain():
     bad = Mesh(np.array([[1.5, 0.0, 0.0]]), np.zeros((0, 3), dtype=np.int64))
     with pytest.raises(ValueError, match="outside the cube"):
         transform_mesh(bad, ONE, pole)
+    with pytest.raises(ValueError, match="outside the cube"):
+        unprojected_part_points(bad, ONE)
+    with pytest.raises(ValueError, match="outside the cube"):
+        orbit_cloud(bad)
 
 
 def test_vertex_at_pole_is_reported():
@@ -494,6 +498,16 @@ def test_orbit_cloud_counts(random_seed_mesh, demo_mesh):
     assert len(orbit_cloud(random_seed_mesh)) == 8 * random_seed_mesh.n_vertices
     # the demo seed's twelve contact points are each shared by two parts
     assert len(orbit_cloud(demo_mesh)) == 8 * demo_mesh.n_vertices - 48
+
+
+def test_orbit_cloud_equals_one_lift_times_each_element(random_seed_mesh, demo_mesh):
+    """Differential: the cloud built from the legs' lift equals the recipe
+    that lifts the seed once and multiplies by each element's matrix."""
+    for seed in (demo_mesh, random_seed_mesh):
+        lifted = radial_to_s3(seed.vertices)
+        stacked = np.concatenate([lifted @ q8_right_matrix_int(g) for g in Q8_ELEMENTS])
+        expected = stacked[_dedup(stacked, DEFAULT_TOL)]
+        assert np.array_equal(orbit_cloud(seed), expected)
 
 
 def test_merge_meshes_offsets():

@@ -141,3 +141,31 @@ def test_basis_is_deterministic():
     assert a.basis.tobytes() == b.basis.tobytes()
     assert np.allclose(a.basis @ a.basis.T, np.eye(3), atol=1e-15)
     assert np.max(np.abs(a.basis @ a.p)) <= 1e-15
+
+
+_MAPS = {
+    "radial_to_s3": (radial_to_s3, 3),
+    "stereo_project": (lambda x: stereo_project(x, default_pole()), 4),
+    "stereo_unproject": (lambda x: stereo_unproject(x, default_pole()), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MAPS))
+def test_maps_take_one_vector_or_rows_and_refuse_other_shapes(name):
+    """One vector gives exactly row 0 of the (1, d) result, no rows give no
+    rows, and every other shape is refused by name."""
+    f, d = _MAPS[name]
+    vector = unit_sphere_points(1, seed=3)[0] if d == 4 else np.array([0.3, -0.7, 0.2])
+    assert np.array_equal(f(vector), f(vector[None, :])[0])
+    assert len(f(np.zeros((0, d)))) == 0
+    for shape in [(2, 3, d), (), (5, d + 1), (d - 1,)]:
+        with pytest.raises(ValueError, match=f"expected {d}-vectors"):
+            f(np.full(shape, 0.1))
+
+
+def test_pole_message_names_the_vertex_of_one_vector():
+    pole = default_pole()
+    with pytest.raises(PoleProximityError, match="vertex 0 maps onto"):
+        stereo_project(pole.p, pole)
+    with pytest.raises(PoleProximityError, match="vertex 1 maps onto"):
+        stereo_project(np.stack([-pole.p, pole.p]), pole)
