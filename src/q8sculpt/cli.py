@@ -12,25 +12,16 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .mesh_pipeline import (
-    Mesh,
-    demo_seed,
-    face_contact_check,
-    feature_stats,
-    generate_sculpture,
-    load_obj,
-    orbit_cloud,
-    scale_for_min_feature,
-    write_obj,
-    write_stl,
-)
-from .projection import Pole, PoleProximityError, default_pole
-from .quat import UNIT_NORM_TOL
-from .symmetry import DEFAULT_TOL, PointCloud4, seed_asymmetry_check, symmetry_group
+
+if TYPE_CHECKING:
+    from .mesh_pipeline import Mesh
+    from .projection import Pole
+
+# Each command imports what it runs at its top, so that `--version`, `--help`
+# and usage errors start without numpy and `verify` without the mesh pipeline.
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -55,6 +46,11 @@ def _positive(text: str) -> float:
 
 
 def _parse_pole(text: str | None) -> Pole:
+    import numpy as np
+
+    from .projection import Pole, default_pole
+    from .quat import UNIT_NORM_TOL
+
     if text is None:
         return default_pole()
     parts = text.split(",")
@@ -73,6 +69,8 @@ def _parse_pole(text: str | None) -> Pole:
 
 
 def _load_seed(source: str) -> Mesh:
+    from .mesh_pipeline import demo_seed, load_obj
+
     if source == "demo":
         return demo_seed()
     return load_obj(Path(source).read_bytes())
@@ -86,9 +84,26 @@ def _emit(path_text: str | None, payload: str) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .mesh_pipeline import (
+        feature_stats,
+        generate_sculpture,
+        orbit_cloud,
+        scale_for_min_feature,
+        write_obj,
+        write_stl,
+    )
+    from .projection import PoleProximityError
+    from .symmetry import PointCloud4
+
     seed = _load_seed(args.seed)
     pole = _parse_pole(args.pole)
-    bundle = generate_sculpture(seed, pole, 1.0)
+    try:
+        bundle = generate_sculpture(seed, pole, 1.0)
+    except PoleProximityError as exc:
+        _diag("pipeline-error", str(exc))
+        return EXIT_PIPELINE
     scale = args.scale or scale_for_min_feature(bundle.merged, args.min_feature)  # a given --scale is > 0
     bundle = bundle.scaled(scale)
     merged_stats = feature_stats(bundle.merged)  # refuses degenerate edges before any write
@@ -151,8 +166,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .symmetry import DEFAULT_TOL, PointCloud4, symmetry_group
+
     cloud = PointCloud4.from_json(Path(args.cloud).read_text())
-    report = symmetry_group(cloud, args.tol)
+    report = symmetry_group(cloud, args.tol or DEFAULT_TOL)  # a given --tol is > 0
     _emit(args.out, report.to_json())
     if report.is_exactly_q8:
         return EXIT_OK
@@ -165,9 +182,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_seed(args: argparse.Namespace) -> int:
+    from .mesh_pipeline import face_contact_check
+    from .symmetry import DEFAULT_TOL, seed_asymmetry_check
+
+    tol = args.tol or DEFAULT_TOL  # a given --tol is > 0
     seed = _load_seed(args.seed)
-    asymmetric = seed_asymmetry_check(seed.vertices, args.tol)
-    contact = face_contact_check(seed, args.tol)
+    asymmetric = seed_asymmetry_check(seed.vertices, tol)
+    contact = face_contact_check(seed, tol)
     report = {
         "asymmetric": asymmetric,
         "contact": contact.to_dict(),
@@ -185,7 +206,6 @@ def _cmd_check_seed(args: argparse.Namespace) -> int:
 
 
 def _cmd_cayley(args: argparse.Namespace) -> int:
-    # imported here so that no other command pays for loading the block calculus
     from .blocks import cayley_graph, to_dot
 
     _emit(args.out, to_dot(cayley_graph()))
@@ -193,6 +213,8 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .mesh_pipeline import feature_stats
+
     seed = _load_seed(args.seed)
     _emit(args.out, json.dumps(feature_stats(seed), indent=2, sort_keys=True))
     return EXIT_OK
@@ -233,13 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="brute-force symmetry check of a point cloud JSON")
     ver.add_argument("--cloud", required=True, help="cloud JSON path")
-    ver.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
+    ver.add_argument("--tol", type=_positive, default=None)
     ver.add_argument("--out", default=None, help="report path (default stdout)")
     ver.set_defaults(func=_cmd_verify)
 
     chk = sub.add_parser("check-seed", help="asymmetry and face-contact audit of a seed mesh")
     chk.add_argument("--seed", required=True, help="seed OBJ path, or 'demo'")
-    chk.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
+    chk.add_argument("--tol", type=_positive, default=None)
     chk.add_argument("--out", default=None)
     chk.set_defaults(func=_cmd_check_seed)
 
@@ -259,9 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PoleProximityError as exc:
-        _diag("pipeline-error", str(exc))
-        return EXIT_PIPELINE
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         _diag("input-error", str(exc))
         return EXIT_INPUT

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import Isometry4, Q8Element, Q8_ELEMENTS, q8_mul, q8_right_matrix_int
+from .quat import Isometry4, Q8Element, Q8_ELEMENTS, integer_isometries, q8_mul, q8_right_matrix_int
 
 # A cell label is just a group element.
 CellLabel = Q8Element
@@ -126,7 +126,7 @@ def candidate_stack() -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _candidate_tuple() -> tuple[Isometry4, ...]:
-    return tuple(Isometry4(m) for m in candidate_stack()[0])
+    return integer_isometries(candidate_stack()[0])
 
 
 def hyperoctahedral_candidates() -> list[Isometry4]:
@@ -135,8 +135,9 @@ def hyperoctahedral_candidates() -> list[Isometry4]:
     These are the signed permutations of the four coordinates; the universe
     searched by the brute-force symmetry detector.  Contains the eight
     right-multiplication matrices of the group.  The isometries are built on
-    the first call and shared (they are frozen, with read-only matrices);
-    each call returns a fresh list.
+    the first call, with one orthogonality check over the stack, and shared
+    (they are frozen, with read-only matrices); each call returns a fresh
+    list.
     """
     return list(_candidate_tuple())
 

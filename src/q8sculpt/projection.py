@@ -103,9 +103,22 @@ def stereo_project(points: np.ndarray, pole: Pole) -> np.ndarray:
 
 
 def stereo_unproject(points: np.ndarray, pole: Pole) -> np.ndarray:
-    """Inverse of :func:`stereo_project`; never returns the pole itself."""
+    """Inverse of :func:`stereo_project`.
+
+    The image of x lies at chordal distance exactly 2 / sqrt(|x|^2 + 1) from
+    the pole.  Its domain mirrors the forward map's: raises
+    :class:`PoleProximityError`, naming the first offending point as
+    "vertex i", when that distance is below ``POLE_PROXIMITY_TOL``, that is
+    for |x| above about 2 / ``POLE_PROXIMITY_TOL``.  The distance is taken
+    through ``np.hypot``, which cannot overflow, so no returned point is
+    the pole.
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim not in (1, 2) or points.shape[-1] != 3:
         raise ValueError(f"expected 3-vectors, got shape {points.shape}")
+    to_pole = 2.0 / np.hypot(np.hypot.reduce(points, axis=-1), 1.0)
+    bad = np.flatnonzero(to_pole < POLE_PROXIMITY_TOL)
+    if len(bad):
+        raise PoleProximityError(f"vertex {int(bad[0])} maps onto the projection pole")
     norm2 = np.sum(points * points, axis=-1)[..., None]
     return ((norm2 - 1.0) * pole.p + 2.0 * (points @ pole.basis)) / (norm2 + 1.0)

@@ -67,15 +67,30 @@ class SymmetryReport:
     chirality: str
 
     def to_json(self) -> str:
+        """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
+
+        With an indent, ``json`` runs its pure-Python encoder, which is slow
+        on 384 matrices; the matrices are written from a template instead.
+        """
         matrices = np.stack([s.m for s in self.symmetries]).astype(np.int8)
-        payload = {
-            "candidates_tested": self.candidates_tested,
-            "symmetry_count": len(self.symmetries),
-            "symmetries": matrices[np.argsort(_codes(matrices))].tolist(),
-            "is_exactly_q8": self.is_exactly_q8,
-            "chirality": self.chirality,
+        rows = matrices[np.argsort(_codes(matrices))].reshape(-1, 16).tolist()
+        fields = {  # in sorted key order
+            "candidates_tested": json.dumps(self.candidates_tested),
+            "chirality": json.dumps(self.chirality),
+            "is_exactly_q8": json.dumps(self.is_exactly_q8),
+            "symmetries": "[\n" + ",\n".join(_MATRIX_JSON.format(*row) for row in rows) + "\n  ]",
+            "symmetry_count": json.dumps(len(self.symmetries)),
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields.items()) + "\n}"
+
+
+#: One matrix of the report at indent 2 and nesting depth 2, its 16 entries
+#: as ``{0}``..``{15}``.
+_MATRIX_JSON = (
+    "    [\n"
+    + ",\n".join("      [\n" + ",\n".join(f"        {{{4 * r + c}}}" for c in range(4)) + "\n      ]" for r in range(4))
+    + "\n    ]"
+)
 
 
 def _codes(m: np.ndarray) -> np.ndarray:

@@ -410,6 +410,75 @@ def test_pipeline_commands_never_load_the_block_calculus(tmp_path):
     assert "q8sculpt.blocks" not in loaded
 
 
+_LOADED_AFTER = """
+import json, sys
+from q8sculpt.cli import main
+for argv in json.loads(sys.argv[1]):
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "q8sculpt"))))
+"""
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    """`--version`, `--help` and a usage error start without numpy or any
+    working module; `verify` loads the symmetry search and nothing of the
+    mesh pipeline or the projection."""
+
+    def loaded(*argvs):
+        result = subprocess.run(
+            [sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout.splitlines()[-1])
+
+    assert loaded(["--version"], ["--help"], ["verify"]) == ["q8sculpt", "q8sculpt.cli"]
+    cloud = tmp_path / "cloud.json"
+    cloud.write_text(PointCloud4(sixteen_cell().vertices.astype(float)).to_json())
+    after_verify = loaded(["verify", "--cloud", str(cloud), "--out", str(tmp_path / "report.json")])
+    assert "numpy" in after_verify
+    assert [m for m in after_verify if m.startswith("q8sculpt.")] == [
+        "q8sculpt.cli",
+        "q8sculpt.hypercube",
+        "q8sculpt.quat",
+        "q8sculpt.symmetry",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--cloud", "{demo_cloud}"],
+        ["verify", "--cloud", "{cells_cloud}"],
+        ["check-seed", "--seed", "demo"],
+        ["check-seed", "--seed", "{mirror_seed}"],
+    ],
+    ids=["verify-q8", "verify-384", "check-seed-demo", "check-seed-mirror"],
+)
+def test_tol_defaults_to_default_tol(tmp_path, capsys, argv):
+    """Without `--tol` the command resolves DEFAULT_TOL itself: the same
+    exit code, report bytes and diagnostics as with `--tol 1e-6`."""
+    paths = {
+        "demo_cloud": tmp_path / "demo" / "cloud.json",
+        "cells_cloud": tmp_path / "cells.json",
+        "mirror_seed": tmp_path / "mirror.obj",
+    }
+    assert run(["generate", "--seed", "demo", "--out", str(tmp_path / "demo")]) == 0
+    paths["cells_cloud"].write_text(PointCloud4(sixteen_cell().vertices.astype(float)).to_json())
+    mirror = np.array([[0.4, 0.2, 0.1], [-0.4, 0.2, 0.1], [0.0, -0.5, 0.3], [0.0, 0.1, -0.6]])
+    paths["mirror_seed"].write_bytes(write_obj(Mesh(mirror, np.array([[0, 1, 2], [0, 1, 3]]))))
+    capsys.readouterr()
+    argv = [arg.format(**paths) for arg in argv]
+    outcomes = []
+    for tol in ([], ["--tol", "1e-6"]):
+        report = tmp_path / f"report{len(tol)}.json"
+        code = run([*argv, *tol, "--out", str(report)])
+        outcomes.append((code, report.read_bytes(), capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_obj_seed_round_trips_through_cli(tmp_path, demo_mesh):
     seed_path = tmp_path / "seed.obj"
     seed_path.write_bytes(write_obj(demo_mesh))

@@ -13,7 +13,17 @@ from q8sculpt.hypercube import (
     signed_permutation_matrices,
     sixteen_cell,
 )
-from q8sculpt.quat import I, MINUS_ONE, ONE, Q8_ELEMENTS, matrix_key, q8_mul, right_mul_matrix
+from q8sculpt.quat import (
+    I,
+    MINUS_ONE,
+    ONE,
+    Q8_ELEMENTS,
+    Isometry4,
+    integer_isometries,
+    matrix_key,
+    q8_mul,
+    right_mul_matrix,
+)
 from q8sculpt.symmetry import _codes
 
 
@@ -93,6 +103,26 @@ def test_candidate_universe_size_and_orientation_split():
         assert np.array_equal(c.m, m)
         det = np.linalg.det(c.m)
         assert abs(det - (1.0 if preserving else -1.0)) < 1e-9
+
+
+def test_candidate_views_equal_isometries_built_one_by_one():
+    """The 384 views pass one stacked check instead of 384 checks; each is
+    the isometry that Isometry4's own check builds from its matrix."""
+    matrices, _ = candidate_stack()
+    candidates = hyperoctahedral_candidates()
+    assert len(candidates) == len(matrices)
+    for view, m in zip(candidates, matrices):
+        single = Isometry4(m)
+        assert view.m.dtype == np.float64 and np.array_equal(view.m, single.m)
+        assert view.orientation == single.orientation
+        assert view.key() == single.key()
+    assert len({id(view.m.base) for view in candidates}) == 1  # rows of one stack
+    bad = matrices.copy()
+    bad[200, 1] = bad[200, 0]  # two equal rows
+    with pytest.raises(ValueError, match="matrix 200 of the stack is not orthogonal"):
+        integer_isometries(bad)
+    with pytest.raises(ValueError, match="integer stack"):
+        integer_isometries(matrices.astype(np.float64))
 
 
 def test_codes_sort_the_stack_lexicographically():

@@ -3,6 +3,7 @@ import pytest
 
 from q8sculpt.hypercube import cells_of_points
 from q8sculpt.projection import (
+    POLE_PROXIMITY_TOL,
     Pole,
     PoleProximityError,
     default_pole,
@@ -102,6 +103,26 @@ def test_round_trip_space_to_sphere(rng):
     assert np.min(np.linalg.norm(lifted - pole.p, axis=1)) > 1e-3
     forward = stereo_project(lifted, pole)
     assert np.max(np.linalg.norm(forward - v, axis=1)) <= 1e-9
+
+
+@pytest.mark.parametrize("norm", [1e150, 1e200])
+def test_unproject_refuses_points_that_map_onto_the_pole(norm):
+    """Far points used to come back as the pole itself (1e150: norm^2 +- 1
+    rounds to norm^2) or as NaN with an overflow warning (1e200)."""
+    pole = default_pole()
+    with pytest.raises(PoleProximityError, match="vertex 1 maps onto"):
+        stereo_unproject(np.array([[0.3, -0.2, 0.1], [0.0, norm, 0.0]]), pole)
+
+
+def test_unproject_round_trips_at_twice_the_pole_tolerance():
+    """The image of x lies 2 / sqrt(|x|^2 + 1) from the pole; at twice the
+    tolerance it is still mapped, and the sphere round trip still holds."""
+    pole = default_pole()
+    gap = 2 * POLE_PROXIMITY_TOL
+    x = np.sqrt(4 / gap**2 - 1) * np.array([0.6, 0.0, -0.8])
+    q = stereo_unproject(x, pole)
+    assert np.linalg.norm(q - pole.p) == pytest.approx(gap, rel=1e-9)
+    assert np.linalg.norm(stereo_unproject(stereo_project(q, pole), pole) - q) <= 1e-9
 
 
 def test_unproject_origin_is_antipode():
