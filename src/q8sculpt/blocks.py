@@ -1,4 +1,4 @@
-"""Decorated cubes, their face-matching rules, line/ring/hypercube assemblies,
+"""Decorated cubes, their face-matching rule, line/ring/hypercube assemblies,
 and the labelled-cell path calculus.
 
 A block is a cube whose six faces carry a motif (face, paw or tail), a
@@ -14,9 +14,11 @@ Orientation conventions, fixed once:
 
 Two decorated faces in direct contact match when their motifs agree, their
 chiralities are opposite (each side sees the other's mirror image) and their
-turns cancel.  The 24 face gluings of the hypercube are not hand-entered:
-``gluing_table`` derives each one from the cell-transport isometries, and the
-assembly checker consumes that table.
+turns cancel.  The hypercube's 24 shared squares bend that contact through
+the fourth dimension: each joins the +face and the -face of one local axis,
+eight squares per axis, and demands mirror matching with turns summing to 1
+(mod 4).  The assembly audit is therefore one check per axis; the tests
+derive the 24 gluings from cell transport and hold the audit to them.
 
 These blocks cannot tile flat 3-space: four blocks can never match around a
 single edge.  A chain of them closes only by bending 90 degrees into the
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quat import ONE, Q8Element, Q8_ELEMENTS, GENERATORS, q8_mul, q8_right_matrix_int
+from .quat import Q8Element, Q8_ELEMENTS, GENERATORS, q8_mul
 from .hypercube import _quarter_turn, signed_permutation_matrices
 from .mesh_pipeline import Mesh, orbit_cloud
 
@@ -111,22 +113,6 @@ class DecoratedBlock:
     def face(self, axis: int, sign: int) -> FaceDecoration:
         return self.faces[(axis, sign)]
 
-    def is_well_formed(self) -> bool:
-        """Opposite faces: same motif, opposite chirality, turns offset by one.
-
-        The offset direction is fixed: turn(-axis face) - turn(+axis face) = 1
-        (mod 4) on every axis.
-        """
-        for axis in range(3):
-            plus, minus = self.faces[(axis, 1)], self.faces[(axis, -1)]
-            if plus.motif != minus.motif:
-                return False
-            if plus.chirality == minus.chirality:
-                return False
-            if (minus.turn - plus.turn) % 4 != 1:
-                return False
-        return True
-
     def transform(self, r: np.ndarray) -> "DecoratedBlock":
         """Image of the block under a signed permutation of the cube.
 
@@ -155,9 +141,9 @@ def standard_block() -> DecoratedBlock:
     """The reference block: tails on +-X, paws on +-Y, face motifs on +-Z.
 
     Positive faces carry the right-handed motif at turn 0, negative faces the
-    left-handed motif at turn 1.  These absolute orientations are the unique
-    choice (up to adding 2 to both turns of an axis) for which the block both
-    closes a +1-step screw line and assembles the hypercube.
+    left-handed motif at turn 1.  On each axis exactly the four turn pairs
+    (t, 1 - t mod 4) assemble the hypercube, and the same four close a
+    +1-step screw line along that axis; this block takes t = 0 on all three.
     """
     motif_of_axis = {0: "tail", 1: "paw", 2: "face"}
     faces = {}
@@ -176,7 +162,7 @@ def faces_match(a: FaceDecoration, b: FaceDecoration, relative_turn: int) -> boo
     True when the motifs agree, the chiralities are opposite, and the turns
     satisfy ``turn(a) + turn(b) = relative_turn (mod 4)``.  Direct contact in
     3-space demands ``relative_turn = 0``; the hypercube's bent gluings demand
-    the offsets recorded in :func:`gluing_table`.
+    ``relative_turn = 1`` (see :func:`assemble_hypercube`).
     """
     return (
         a.motif == b.motif
@@ -260,110 +246,52 @@ def verify_line(
 # ---------------------------------------------------------------------------
 # the hypercube assembly
 
-def _frame(cell: Q8Element, face: tuple[int, int], turn: int) -> np.ndarray:
-    """A cell's face frame carried into 4-space by the cell's transport, as
-    three integer rows: the face centre, the motif arrow at ``turn`` and the
-    transverse direction (one more quarter turn in the turn sense)."""
+def _frame(face: tuple[int, int], turn: int) -> np.ndarray:
+    """A face's frame in the cube, as three integer rows: the face centre,
+    the motif arrow at ``turn`` and the transverse direction (one more
+    quarter turn in the turn sense)."""
     axis, sign = face
-    frame = np.zeros((3, 4), dtype=np.int64)
-    frame[0, 0], frame[0, 1 + axis] = 1, sign
-    frame[1, 1:] = face_arrow(face, turn)
-    frame[2, 1:] = face_arrow(face, turn + 1)
-    return frame @ q8_right_matrix_int(cell)
-
-
-def neighbor_cell(cell: Q8Element, face: tuple[int, int]) -> Q8Element:
-    """The cell met through the given local face of a cell's block: local
-    axis a steps by the generator of quaternion axis a+1 (x->i, y->j, z->k)."""
-    axis, sign = face
-    return q8_mul(Q8Element(sign, axis + 1), cell)
-
-
-@dataclass(frozen=True)
-class Gluing:
-    """One shared square of the hypercube, with the matching it demands."""
-
-    cell_a: Q8Element
-    face_a: tuple[int, int]
-    cell_b: Q8Element
-    face_b: tuple[int, int]
-    relative_turn: int
-    chirality_flip: bool
-
-
-def gluing_table() -> list[Gluing]:
-    """The 24 face gluings of the hypercube, derived from cell transport.
-
-    Each shared square is found by transporting both incident blocks' face
-    frames into 4-space; the demanded ``relative_turn`` is the constant c with
-    turn(a) + turn(b) = c (mod 4).  Every gluing mirrors (``chirality_flip``):
-    AssertionError refuses one whose two sides, judged by the transported
-    transverse directions, do not view the square with opposite orientations.
-    """
-    by_center: dict[tuple[int, ...], list[tuple[Q8Element, tuple[int, int]]]] = {}
-    for cell in Q8_ELEMENTS:
-        for face in FACES:
-            center = tuple(_frame(cell, face, 0)[0].tolist())
-            by_center.setdefault(center, []).append((cell, face))
-
-    gluings = []
-    for center, pair in sorted(by_center.items()):
-        if len(pair) != 2:
-            raise AssertionError(f"face center {center} shared by {len(pair)} cells")
-        (cell_a, face_a), (cell_b, face_b) = pair
-        if neighbor_cell(cell_a, face_a) != cell_b:
-            raise AssertionError("cell adjacency disagrees with face incidence")
-        # frames_a[t]: centre, arrow and transverse of the square seen from a at turn t
-        frames_a = np.stack([_frame(cell_a, face_a, t) for t in range(4)])
-        frames_b = np.stack([_frame(cell_b, face_b, t) for t in range(4)])
-        const = next((t for t in range(4) if np.array_equal(frames_b[t, 1], frames_a[0, 1])), None)
-        if const is None:
-            raise AssertionError("transported face frames never align")
-        if not np.array_equal(frames_b[(const - np.arange(4)) % 4, 1], frames_a[:, 1]):
-            raise AssertionError("gluing demand is not of the constant-sum form")
-        if not np.array_equal(frames_b[const, 2], -frames_a[0, 2]):
-            raise AssertionError("gluing does not mirror: transverse directions not opposite")
-        gluings.append(Gluing(cell_a, face_a, cell_b, face_b, const, True))
-    if len(gluings) != 24:
-        raise AssertionError(f"expected 24 gluings, found {len(gluings)}")
-    return gluings
+    frame = np.zeros((3, 3), dtype=np.int64)
+    frame[0, axis] = sign
+    frame[1] = face_arrow(face, turn)
+    frame[2] = face_arrow(face, turn + 1)
+    return frame
 
 
 @dataclass(frozen=True)
 class HypercubeAssembly:
-    """A block placed in every cell by cell transport, plus the match audit."""
+    """A block placed in every cell by cell transport, plus the match audit:
+    the local axes whose eight shared squares fail to match."""
 
     block: DecoratedBlock
-    gluings: tuple[Gluing, ...]
-    failures: tuple[Gluing, ...]
+    failed_axes: tuple[int, ...]
 
     @property
     def matched(self) -> int:
-        return len(self.gluings) - len(self.failures)
+        return 8 * (3 - len(self.failed_axes))
 
     @property
     def valid(self) -> bool:
-        return not self.failures
+        return not self.failed_axes
 
 
 def assemble_hypercube(block: Optional[DecoratedBlock] = None) -> HypercubeAssembly:
     """Place one copy of the block per cell and audit all 24 shared squares.
 
     The placement in cell g is the cell-1 placement transported by right
-    multiplication, so every block is the same block in its local frame and a
-    shared square matches exactly when the two stored face decorations satisfy
-    its gluing demand.
+    multiplication, so every block is the same block in its local frame.
+    Each shared square joins the +face of one cell to the -face of the
+    same local axis of its neighbour, eight squares per axis, and demands
+    mirror matching with ``relative_turn = 1``.  So the audit is one
+    :func:`faces_match` per axis, and an axis passes or fails all eight of
+    its squares together.
     """
     if block is None:
         block = standard_block()
-    gluings = tuple(gluing_table())
-    failures = []
-    for gluing in gluings:
-        a = block.faces[gluing.face_a]
-        b = block.faces[gluing.face_b]
-        if not faces_match(a, b, gluing.relative_turn):
-            failures.append(gluing)
-    return HypercubeAssembly(block, gluings, tuple(failures))
+    failed = tuple(
+        axis for axis in range(3) if not faces_match(block.faces[(axis, 1)], block.faces[(axis, -1)], 1)
+    )
+    return HypercubeAssembly(block, failed)
 
 
 # Tangential offsets distinguishing the motifs in the decoration encoding;
@@ -375,7 +303,7 @@ _CHIRALITY_OFFSET = 0.07
 def block_seed(block: DecoratedBlock) -> Mesh:
     """The block as a seed mesh in the cube: two marker vertices per face,
     in :data:`FACES` order.  With centre, arrow and transverse the rows of
-    the face's cell-1 frame (w dropped), one marker lies along the motif
+    the face's frame (:func:`_frame`), one marker lies along the motif
     arrow at a motif-specific distance, the other off-axis on the motif's
     handedness side.  Three triangles join each +face's markers to the
     -face's arrow marker.  A valid assembly's matched squares receive the
@@ -384,7 +312,7 @@ def block_seed(block: DecoratedBlock) -> Mesh:
     vertices = []
     for face in FACES:
         dec = block.faces[face]
-        center, arrow, sigma = _frame(ONE, face, dec.turn)[:, 1:]
+        center, arrow, sigma = _frame(face, dec.turn)
         hand = 1 if dec.chirality == "right" else -1
         vertices.append(center + _MOTIF_OFFSET[dec.motif] * arrow)
         vertices.append(center + _CHIRALITY_OFFSET * (arrow + hand * sigma))

@@ -5,9 +5,12 @@ coordinate ``axis`` = ``sign`` gets the label with that axis and sign, so the
 cell {w = +1} is labelled 1, {x = +1} is labelled i, and so on.  Which cell
 is called 1 is an arbitrary base choice; fixing it to {w = +1} makes the
 label of every other cell the element whose right multiplication reaches it.
-Right multiplication permutes the cells; the cell centers are the vertices
-of the 16-cell; and the signed permutations of the four coordinates are
-exactly the isometries of R^4 preserving the cell decomposition.
+
+The module holds the cell centers (the vertices of the 16-cell), the map a
+gluing induces between opposite faces of the seed cube, and the search
+universe of the symmetry detector: the signed permutations of the four
+coordinates, exactly the isometries of R^4 preserving the cell
+decomposition, of which the eight right multiplications are a subgroup.
 """
 
 from __future__ import annotations
@@ -18,40 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import Isometry4, Q8Element, Q8_ELEMENTS, integer_isometries, q8_mul, q8_right_matrix_int
-
-# A cell label is just a group element.
-CellLabel = Q8Element
-
-ZERO_VECTOR_TOL = 1e-12
-
-
-def cell_of_point(v: np.ndarray) -> CellLabel:
-    """Label of the cell whose pinned coordinate dominates v in absolute value.
-
-    Ties break to the lowest coordinate index (w before x before y before z);
-    radially projected cube corners sit exactly on such ties.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (4,):
-        raise ValueError(f"expected a 4-vector, got shape {v.shape}")
-    return cells_of_points(v[None])[0]
-
-
-def cells_of_points(points: np.ndarray) -> list[CellLabel]:
-    """Vectorized cell_of_point over an (n, 4) array."""
-    points = np.asarray(points, dtype=np.float64)
-    norms = np.linalg.norm(points, axis=1)
-    if np.any(norms <= ZERO_VECTOR_TOL):
-        raise ValueError("cell_of_point is undefined at the zero vector")
-    axes = np.argmax(np.abs(points), axis=1)  # argmax returns the first maximum
-    signs = np.where(points[np.arange(len(points)), axes] > 0, 1, -1)
-    return [Q8Element(int(s), int(a)) for s, a in zip(signs, axes)]
-
-
-def cell_action(g: Q8Element) -> dict[CellLabel, CellLabel]:
-    """The permutation of cell labels induced by right multiplication by g."""
-    return {a: q8_mul(a, g) for a in Q8_ELEMENTS}
+from .quat import Isometry4, Q8_ELEMENTS, integer_isometries, q8_right_matrix_int
 
 
 def _quarter_turn(axis: int) -> np.ndarray:
@@ -101,15 +71,16 @@ def sixteen_cell() -> SixteenCell:
     return out
 
 
-def signed_permutation_matrices(n: int) -> list[np.ndarray]:
-    """All signed n x n permutation matrices (row convention), integer entries.
+def signed_permutation_matrices(n: int) -> np.ndarray:
+    """All signed n x n permutation matrices (row convention), as one int64
+    (2^n n!, n, n) stack.
 
     Deterministic order: permutations lexicographically, then sign patterns
-    with +1 before -1 per coordinate.
+    (one sign per row) with +1 before -1 per coordinate; the identity first.
     """
-    eye = np.eye(n, dtype=np.int64)
-    signs = [np.array(s)[:, None] for s in itertools.product((1, -1), repeat=n)]
-    return [s * eye[list(perm)] for perm in itertools.permutations(range(n)) for s in signs]
+    perms = np.eye(n, dtype=np.int64)[list(itertools.permutations(range(n)))]
+    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int64)
+    return (signs[None, :, :, None] * perms[:, None]).reshape(-1, n, n)
 
 
 @functools.cache
@@ -117,7 +88,7 @@ def candidate_stack() -> tuple[np.ndarray, np.ndarray]:
     """The candidates of :func:`hyperoctahedral_candidates`, in the same
     order, as one read-only int8 (384, 4, 4) array, and the read-only
     boolean mask of the orientation-preserving ones (determinant +1)."""
-    matrices = np.stack(signed_permutation_matrices(4)).astype(np.int8)
+    matrices = signed_permutation_matrices(4).astype(np.int8)
     preserving = np.linalg.det(matrices) > 0
     matrices.setflags(write=False)
     preserving.setflags(write=False)

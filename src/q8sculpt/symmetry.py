@@ -316,7 +316,7 @@ def seed_asymmetry_check(points: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if len(points) == 0:
         raise ValueError("seed has no vertices")
     _well_posed_tol(points, tol)
-    matrices = np.stack(signed_permutation_matrices(3))  # the identity first
+    matrices = signed_permutation_matrices(3)  # the identity first
     return _carrying(points, matrices, _Index(points, tol)).tolist() == [0]
 
 

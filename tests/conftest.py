@@ -2,7 +2,23 @@ import numpy as np
 import pytest
 
 from q8sculpt.mesh_pipeline import Mesh, demo_seed, orbit_cloud
+from q8sculpt.quat import Q8Element
 from q8sculpt.symmetry import PointCloud4, seed_asymmetry_check, symmetry_group
+
+
+@pytest.fixture(scope="session")
+def cell_labels():
+    """Labels of the cells whose pinned coordinate dominates each row of an
+    (n, 4) array.  Ties break to the lowest coordinate index (w before x
+    before y before z); radially projected cube corners sit exactly on such
+    ties."""
+
+    def labels(points):
+        axes = np.argmax(np.abs(points), axis=1)  # argmax returns the first maximum
+        signs = np.where(points[np.arange(len(points)), axes] > 0, 1, -1)
+        return [Q8Element(int(s), int(a)) for s, a in zip(signs, axes)]
+
+    return labels
 
 
 @pytest.fixture(scope="session")

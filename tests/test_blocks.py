@@ -1,4 +1,6 @@
+import functools
 import itertools
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -20,9 +22,7 @@ from q8sculpt.blocks import (
     face_name,
     faces_match,
     follow_path,
-    gluing_table,
     line_placements,
-    neighbor_cell,
     quarter_turn_matrix,
     standard_block,
     to_dot,
@@ -30,28 +30,28 @@ from q8sculpt.blocks import (
 )
 from q8sculpt.hypercube import contact_transfer_matrix, signed_permutation_matrices
 from q8sculpt.mesh_pipeline import face_contact_check
-from q8sculpt.quat import GENERATORS, I, J, K, MINUS_ONE, ONE, Q8_ELEMENTS, q8_mul, q8_right_matrix_int
+from q8sculpt.quat import GENERATORS, I, J, K, MINUS_ONE, ONE, Q8_ELEMENTS, Q8Element, q8_mul, q8_right_matrix_int
 from q8sculpt.symmetry import DEFAULT_TOL, _carrying, _Index
 
 
 def test_standard_block_decorations():
     block = standard_block()
     top, bottom = block.face(2, 1), block.face(2, -1)
-    assert (top.motif, top.chirality) == ("face", "right")
-    assert (bottom.motif, bottom.chirality) == ("face", "left")
-    assert (bottom.turn - top.turn) % 4 == 1
-    assert block.is_well_formed()
+    assert (top.motif, top.chirality, top.turn) == ("face", "right", 0)
+    assert (bottom.motif, bottom.chirality, bottom.turn) == ("face", "left", 1)
+    assert assemble_hypercube(block).valid
 
 
 def test_well_formedness_catches_violations():
+    """A wrong turn or a wrong motif on one face fails that face's axis."""
     block = standard_block()
     faces = dict(block.faces)
     good = faces[(1, -1)]
     faces[(1, -1)] = FaceDecoration(good.motif, good.chirality, (good.turn + 1) % 4)
-    assert not DecoratedBlock(faces).is_well_formed()
+    assert assemble_hypercube(DecoratedBlock(faces)).failed_axes == (1,)
     faces = dict(block.faces)
     faces[(0, -1)] = FaceDecoration("paw", good.chirality, faces[(0, -1)].turn)
-    assert not DecoratedBlock(faces).is_well_formed()
+    assert assemble_hypercube(DecoratedBlock(faces)).failed_axes == (0,)
 
 
 def test_faces_match_examples():
@@ -140,6 +140,96 @@ def test_every_screw_step_closes_some_line():
     assert reached == {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize("axis", range(3))
+def test_screw_line_gluing_and_turn_sum_agree(axis):
+    """Re-turning the two faces of one axis over all 16 pairs of turns: the
+    +1 screw line along the axis closes exactly when the axis passes the
+    assembly audit, exactly when the turns sum to 1 (mod 4), and that holds
+    for four pairs."""
+    block = standard_block()
+    plus, minus = block.face(axis, 1), block.face(axis, -1)
+    passing = 0
+    for turn_plus, turn_minus in itertools.product(range(4), repeat=2):
+        faces = dict(block.faces)
+        faces[(axis, 1)] = FaceDecoration(plus.motif, plus.chirality, turn_plus)
+        faces[(axis, -1)] = FaceDecoration(minus.motif, minus.chirality, turn_minus)
+        variant = DecoratedBlock(faces)
+        closes = verify_line(line_placements(variant, 5, axis=axis), axis=axis).ok
+        glues = axis not in assemble_hypercube(variant).failed_axes
+        assert closes == glues == ((turn_plus + turn_minus) % 4 == 1)
+        passing += glues
+    assert passing == 4
+
+
+# ---------------------------------------------------------------------------
+# the oracle: the hypercube's 24 gluings derived from 4-D cell transport
+
+
+def neighbor_cell(cell, face):
+    """The cell met through the given local face of a cell's block: local
+    axis a steps by the generator of quaternion axis a+1 (x->i, y->j, z->k)."""
+    axis, sign = face
+    return q8_mul(Q8Element(sign, axis + 1), cell)
+
+
+def _cell_frame(cell, face, turn):
+    """The face frame of `_frame` placed on the cell-1 cube {w = 1} and
+    carried into 4-space by the cell's transport."""
+    return np.hstack([[[1], [0], [0]], _frame(face, turn)]) @ q8_right_matrix_int(cell)
+
+
+# One shared square of the hypercube, with the matching it demands.
+Gluing = namedtuple("Gluing", "cell_a face_a cell_b face_b relative_turn chirality_flip")
+
+
+@functools.cache
+def gluing_table():
+    """The 24 face gluings of the hypercube, derived from cell transport.
+
+    Each shared square is found by transporting both incident blocks' face
+    frames into 4-space; the demanded ``relative_turn`` is the constant c with
+    turn(a) + turn(b) = c (mod 4).  Every gluing mirrors (``chirality_flip``):
+    AssertionError refuses one whose two sides, judged by the transported
+    transverse directions, do not view the square with opposite orientations.
+    """
+    by_center = {}
+    for cell in Q8_ELEMENTS:
+        for face in FACES:
+            center = tuple(_cell_frame(cell, face, 0)[0].tolist())
+            by_center.setdefault(center, []).append((cell, face))
+
+    gluings = []
+    for center, pair in sorted(by_center.items()):
+        if len(pair) != 2:
+            raise AssertionError(f"face center {center} shared by {len(pair)} cells")
+        (cell_a, face_a), (cell_b, face_b) = pair
+        if neighbor_cell(cell_a, face_a) != cell_b:
+            raise AssertionError("cell adjacency disagrees with face incidence")
+        # frames_a[t]: centre, arrow and transverse of the square seen from a at turn t
+        frames_a = np.stack([_cell_frame(cell_a, face_a, t) for t in range(4)])
+        frames_b = np.stack([_cell_frame(cell_b, face_b, t) for t in range(4)])
+        const = next((t for t in range(4) if np.array_equal(frames_b[t, 1], frames_a[0, 1])), None)
+        if const is None:
+            raise AssertionError("transported face frames never align")
+        if not np.array_equal(frames_b[(const - np.arange(4)) % 4, 1], frames_a[:, 1]):
+            raise AssertionError("gluing demand is not of the constant-sum form")
+        if not np.array_equal(frames_b[const, 2], -frames_a[0, 2]):
+            raise AssertionError("gluing does not mirror: transverse directions not opposite")
+        gluings.append(Gluing(cell_a, face_a, cell_b, face_b, const, True))
+    if len(gluings) != 24:
+        raise AssertionError(f"expected 24 gluings, found {len(gluings)}")
+    return tuple(gluings)
+
+
+def oracle_audit(block):
+    """(valid, matched) of the block audited square by square against the
+    derived gluing table."""
+    matched = sum(
+        faces_match(block.faces[g.face_a], block.faces[g.face_b], g.relative_turn) for g in gluing_table()
+    )
+    return matched == 24, matched
+
+
 # gluing_table() in order: (cell_a, face_a, cell_b, face_b)
 GLUING_ORDER = [
     ("-1", "+X", "-i", "-X"),
@@ -181,6 +271,7 @@ def test_gluing_table_shape_and_uniform_demand():
     assert len(table) == 24
     assert {g.relative_turn for g in table} == {1}
     assert {g.chirality_flip for g in table} == {True}
+    assert sorted(g.face_a[0] for g in table) == [0] * 8 + [1] * 8 + [2] * 8  # eight per axis
     # each gluing joins a +face to the opposite -face along the same axis
     for g in table:
         assert g.face_a[0] == g.face_b[0]
@@ -232,17 +323,25 @@ def test_assemble_hypercube_all_faces_match():
     assembly = assemble_hypercube()
     assert assembly.valid
     assert assembly.matched == 24
-    assert len(assembly.gluings) == 24
+    assert assembly.failed_axes == ()
+    assert (assembly.valid, assembly.matched) == oracle_audit(assembly.block)
 
 
 def test_assemble_rejects_quarter_turn_violation():
+    """A quarter turn too many on the +face of each axis in a subset fails
+    exactly those axes, eight squares each, as the oracle's audit does."""
     block = standard_block()
-    faces = dict(block.faces)
-    dec = faces[(0, 1)]
-    faces[(0, 1)] = FaceDecoration(dec.motif, dec.chirality, (dec.turn + 1) % 4)
-    assembly = assemble_hypercube(DecoratedBlock(faces))
-    assert not assembly.valid
-    assert assembly.matched < 24
+    for broken in itertools.chain.from_iterable(itertools.combinations(range(3), k) for k in range(4)):
+        faces = dict(block.faces)
+        for axis in broken:
+            dec = faces[(axis, 1)]
+            faces[(axis, 1)] = FaceDecoration(dec.motif, dec.chirality, (dec.turn + 1) % 4)
+        variant = DecoratedBlock(faces)
+        assembly = assemble_hypercube(variant)
+        assert assembly.failed_axes == broken
+        assert assembly.matched == 8 * (3 - len(broken))
+        assert (assembly.valid, assembly.matched) == oracle_audit(variant)
+        assert face_contact_check(block_seed(variant)).passed == assembly.valid
 
 
 def test_assembly_symmetry_group_is_exactly_q8():
@@ -339,7 +438,7 @@ def _transported_markers(block):
     for cell in Q8_ELEMENTS:
         for face in FACES:
             dec = block.faces[face]
-            center, arrow, sigma = _frame(cell, face, dec.turn)
+            center, arrow, sigma = _cell_frame(cell, face, dec.turn)
             hand = 1 if dec.chirality == "right" else -1
             points.append(center + _MOTIF_OFFSET[dec.motif] * arrow)
             points.append(center + _CHIRALITY_OFFSET * (arrow + hand * sigma))
@@ -351,7 +450,7 @@ def _seed_symmetries(block):
     """The signed 3x3 permutations carrying the block's seed vertices onto
     themselves, found by the matcher that `seed_asymmetry_check` uses."""
     points = block_seed(block).vertices
-    cube_maps = np.stack(signed_permutation_matrices(3))
+    cube_maps = signed_permutation_matrices(3)
     return [cube_maps[k].tolist() for k in _carrying(points, cube_maps, _Index(points, DEFAULT_TOL))]
 
 
@@ -364,13 +463,15 @@ ONE_FACE_VARIANTS = list(itertools.product(FACES, MOTIFS, CHIRALITIES, range(4))
     ids=[f"{face_name(f)}-{m}-{c}-{t}" for f, m, c, t in ONE_FACE_VARIANTS],
 )
 def test_block_seed_is_the_assembly(face, motif, chirality, turn):
-    """Over every one-face variant of the standard block: the seed's contact
-    audit is the 24-gluing audit, the seed's cube symmetries are the block's,
-    and a valid assembly's decoration cloud is the cell-transported markers."""
+    """Over every one-face variant of the standard block: the per-axis audit
+    is the oracle's 24-gluing audit, the seed's contact audit agrees, the
+    seed's cube symmetries are the block's, and a valid assembly's
+    decoration cloud is the cell-transported markers."""
     faces = dict(standard_block().faces)
     faces[face] = FaceDecoration(motif, chirality, turn)
     block = DecoratedBlock(faces)
     assembly = assemble_hypercube(block)
+    assert (assembly.valid, assembly.matched) == oracle_audit(block)
     assert face_contact_check(block_seed(block)).passed == assembly.valid
     assert _seed_symmetries(block) == [r.tolist() for r in block_symmetries(block)]
 

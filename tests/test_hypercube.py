@@ -5,9 +5,6 @@ import pytest
 
 from q8sculpt.hypercube import (
     candidate_stack,
-    cell_action,
-    cell_of_point,
-    cells_of_points,
     hyperoctahedral_candidates,
     q8_right_isometries,
     signed_permutation_matrices,
@@ -15,8 +12,6 @@ from q8sculpt.hypercube import (
 )
 from q8sculpt.quat import (
     I,
-    MINUS_ONE,
-    ONE,
     Q8_ELEMENTS,
     Isometry4,
     integer_isometries,
@@ -27,47 +22,19 @@ from q8sculpt.quat import (
 from q8sculpt.symmetry import _codes
 
 
-def test_cell_of_point_examples():
-    assert cell_of_point(np.array([1.0, 0.2, -0.3, 0.5])) == ONE
-    assert cell_of_point(np.array([-0.1, -0.9, 0.0, 0.2])) == -I
-    # ties break to the lowest coordinate index
-    assert cell_of_point(np.array([0.5, 0.5, 0.5, 0.5])) == ONE
-
-
-def test_cell_of_point_rejects_zero():
-    with pytest.raises(ValueError):
-        cell_of_point(np.zeros(4))
-
-
-def test_cell_action_examples():
-    assert cell_action(I)[ONE] == I
-    assert cell_action(ONE) == {g: g for g in Q8_ELEMENTS}
-    antipodal = cell_action(MINUS_ONE)
-    for g in Q8_ELEMENTS:
-        assert antipodal[g] == -g
-
-
-def test_cell_action_is_group_action():
-    for a in Q8_ELEMENTS:
-        for b in Q8_ELEMENTS:
-            first, second, combined = cell_action(a), cell_action(b), cell_action(q8_mul(a, b))
-            for start in Q8_ELEMENTS:
-                assert second[first[start]] == combined[start]
-
-
-def test_cell_action_consistent_with_geometry(rng):
-    """Applying the matrix then reading the cell equals permuting the label."""
+def test_cell_action_consistent_with_geometry(rng, cell_labels):
+    """Right multiplication by g, applied to points, moves each point of
+    cell a into cell a*g."""
     points = rng.normal(size=(2000, 4))
     points /= np.linalg.norm(points, axis=1, keepdims=True)
     # stay away from tie boundaries
     mags = np.sort(np.abs(points), axis=1)
     points = points[mags[:, 3] - mags[:, 2] > 1e-6][:1000]
     assert len(points) == 1000
-    labels = cells_of_points(points)
+    labels = cell_labels(points)
     for g in Q8_ELEMENTS:
-        action = cell_action(g)
-        moved = cells_of_points(points @ right_mul_matrix(g).m)
-        assert moved == [action[label] for label in labels]
+        moved = cell_labels(points @ right_mul_matrix(g).m)
+        assert moved == [q8_mul(label, g) for label in labels]
 
 
 def test_sixteen_cell_combinatorics():
@@ -160,6 +127,18 @@ def test_candidates_contain_right_multiplications():
     for iso in q8_right_isometries():
         assert iso.key() in keys
     assert matrix_key(right_mul_matrix(I).m) in keys
+
+
+def test_signed_permutation_order():
+    """The stack is in the order of the one-matrix-at-a-time reference:
+    permutations lexicographically, then sign patterns, the identity first."""
+    for n in (3, 4):
+        eye = np.eye(n, dtype=np.int64)
+        perms, signs = itertools.permutations(range(n)), list(itertools.product((1, -1), repeat=n))
+        reference = np.stack([np.diag(s) @ eye[list(p)] for p in perms for s in signs])
+        stack = signed_permutation_matrices(n)
+        assert stack.dtype == np.int64 and np.array_equal(stack, reference)
+        assert np.array_equal(stack[0], eye)
 
 
 def test_signed_permutations_3d():

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from q8sculpt.hypercube import cells_of_points, contact_transfer_matrix
+from q8sculpt.hypercube import contact_transfer_matrix
 from q8sculpt.mesh_pipeline import (
     FLOAT32_MAX,
     AxisContact,
@@ -278,9 +278,9 @@ def test_pipeline_equivariance(random_seed_mesh):
             assert np.max(np.linalg.norm(moved - direct, axis=1)) <= 1e-9
 
 
-def test_parts_live_in_their_own_cells(random_seed_mesh):
+def test_parts_live_in_their_own_cells(random_seed_mesh, cell_labels):
     for g in Q8_ELEMENTS:
-        labels = cells_of_points(unprojected_part_points(random_seed_mesh, g))
+        labels = cell_labels(unprojected_part_points(random_seed_mesh, g))
         assert all(label == g for label in labels)
 
 

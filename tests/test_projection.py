@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from q8sculpt.hypercube import cells_of_points
 from q8sculpt.projection import (
     POLE_PROXIMITY_TOL,
     Pole,
@@ -33,9 +32,9 @@ def test_radial_image_is_unit(rng):
     assert np.max(np.abs(np.linalg.norm(image, axis=1) - 1.0)) <= 1e-12
 
 
-def test_radial_lands_in_cell_one(rng):
+def test_radial_lands_in_cell_one(rng, cell_labels):
     pts = rng.uniform(-0.999, 0.999, size=(500, 3))
-    assert all(label == ONE for label in cells_of_points(radial_to_s3(pts)))
+    assert all(label == ONE for label in cell_labels(radial_to_s3(pts)))
 
 
 def test_default_pole_value():
