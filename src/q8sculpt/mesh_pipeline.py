@@ -9,8 +9,10 @@ all eight elements produces the eight copies of the sculpture.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from .quat import Q8Element, Q8_ELEMENTS, q8_right_matrix_int
 from .projection import Pole, PoleProximityError, radial_to_s3, stereo_project
 from .hypercube import contact_transfer_matrix
-from .symmetry import DEFAULT_TOL, _dedup, _pairs_within, _well_posed_tol
+from .symmetry import DEFAULT_TOL, _Index, _dedup, _well_posed_tol
 
 SEED_DOMAIN_TOL = 1e-9
 
@@ -94,9 +96,12 @@ def load_obj(data: bytes | str) -> Mesh:
             if len(tokens) < 4:
                 raise MeshFormatError("vertex record needs three coordinates", lineno)
             try:
-                vertices.append([float(tok) for tok in tokens[1:4]])
+                coords = [float(tok) for tok in tokens[1:4]]
             except ValueError:
                 raise MeshFormatError(f"bad vertex coordinate in {raw!r}", lineno) from None
+            if not all(map(math.isfinite, coords)):
+                raise MeshFormatError(f"non-finite vertex coordinate in {raw!r}", lineno)
+            vertices.append(coords)
         elif kind == "f":
             if len(tokens) < 4:
                 raise MeshFormatError("face record needs at least three vertices", lineno)
@@ -202,13 +207,13 @@ def transform_mesh(seed: Mesh, g: Q8Element, pole: Pole) -> Mesh:
 @dataclass(frozen=True)
 class SculptureBundle:
     """The eight transformed copies, and ``merged``, their union computed
-    from them by :func:`merge_meshes`."""
+    from them by :func:`merge_meshes` on first use."""
 
     parts: dict[Q8Element, Mesh]
-    merged: Mesh = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "merged", merge_meshes(list(self.parts.values())))
+    @functools.cached_property
+    def merged(self) -> Mesh:
+        return merge_meshes(list(self.parts.values()))
 
     def scaled(self, scale: float) -> "SculptureBundle":
         """The bundle of every part multiplied by ``scale``.
@@ -219,7 +224,7 @@ class SculptureBundle:
         """
         if not scale > 0:
             raise ValueError("scale must be positive")
-        extent = float(np.max(np.abs(self.merged.vertices), initial=0.0)) * scale
+        extent = max(float(np.max(np.abs(m.vertices), initial=0.0)) for m in self.parts.values()) * scale
         if not extent <= FLOAT32_MAX:
             raise ValueError(
                 f"scale {scale:.6g} puts a coordinate at {extent:.6g}, "
@@ -268,17 +273,24 @@ def feature_stats(mesh: Mesh) -> dict[str, float]:
 
 
 def scale_for_min_feature(merged: Mesh, min_feature: float) -> float:
-    """Smallest scale >= 1 making the shortest edge of ``merged``, the
-    sculpture at scale 1, at least ``min_feature`` model units.
+    """A scale >= 1 making every edge of ``merged.scaled(scale)``, and so of
+    the scaled parts that merge into it, at least ``min_feature`` long, where
+    ``merged`` is the sculpture at scale 1: min_feature / shortest edge,
+    stepped up while rounding leaves the scaled shortest edge short.
 
-    Raises ValueError when that scale overflows the float range.
+    Raises ValueError when that scale puts a coordinate beyond the float32
+    range, which :meth:`SculptureBundle.scaled` refuses.
     """
     if not min_feature > 0:
         raise ValueError("min_feature must be positive")
     scale = max(1.0, min_feature / feature_stats(merged)["min_edge"])
-    if not np.isfinite(scale):
-        raise ValueError(f"--min-feature {min_feature:.6g} needs a scale beyond the float range")
-    return scale
+    extent = float(np.max(np.abs(merged.vertices)))
+    while scale * extent <= FLOAT32_MAX:
+        got = feature_stats(merged.scaled(scale))["min_edge"]
+        if got >= min_feature:
+            return scale
+        scale = float(np.nextafter(scale * (min_feature / got), math.inf))  # min_feature / got > 1, so the scale grows
+    raise ValueError(f"--min-feature {min_feature:.6g} needs a scale beyond the float range")
 
 
 @dataclass(frozen=True)
@@ -337,7 +349,7 @@ def face_contact_check(seed: Mesh, tol: float = DEFAULT_TOL) -> ContactReport:
         coords = seed.vertices[:, axis]
         plus = seed.vertices[np.abs(coords - 1.0) <= tol]
         minus = seed.vertices[np.abs(coords + 1.0) <= tol]
-        i, j = _pairs_within(plus @ contact_transfer_matrix(axis), minus, tol)
+        i, j = _Index(minus, tol).pairs(plus @ contact_transfer_matrix(axis), tol)
         axes.append(
             AxisContact(
                 letter,

@@ -126,8 +126,36 @@ def _check_resolution(span: float, r: float) -> None:
 
 
 class _Index:
-    """The one proximity kernel: target points hashed once for queries at
-    radius r, one probe per query point (see :func:`_pairs_within`)."""
+    """The one proximity kernel: target points hashed once at a build radius
+    R, then queried at any radius r <= R, one probe per query point.
+
+    Each target t is stored under the 2**d cells floor(t / c - 1/2) + {0, 1}**d
+    (16 in 4-D, 8 in 3-D), their keys sorted once; a query q probes the one
+    cell floor(q / c), and every target stored there gets the exact distance
+    test.  Exact: if |q - t| <= r <= R on every axis, then
+    t / c - 1/2 < q / c < t / c + 1/2, so floor(q / c) is floor(t / c - 1/2)
+    or the next cell.  The side c = 2R + (R + max(1, max |target|)) * 2**-40
+    exceeds 2R by far more than rounding in the divisions and the distance
+    test can move a point, so this holds for the computed values too.
+
+    Float resolution.  A coordinate of size x is only known to within an ulp,
+    about max(1, |x|) * 2**-52, and a distance test at a radius of a few ulps
+    decides rounding noise rather than geometry.  So a radius must exceed
+    max(1, max |coordinate|) * 2**-50 over both point sets, else ValueError.
+    The same floor keeps every cell index below 2**49 in size: exact in
+    float64, no int64 overflow.
+
+    Matching.  Suppose no two target points lie within 2r of each other (the
+    strict guard tol < separation / 2, which :func:`_well_posed_tol` checks
+    on the index it returns).  Then each source point has at most one target
+    within r, since two such targets t, t' would be within
+    ||t - s|| + ||s - t'|| <= 2r of each other.  The pairs therefore already
+    form a partial function from sources to targets, and a tolerance match
+    is a bijection exactly when every source has one hit and no target is
+    hit twice; there is no other assignment left to search for.  A count of
+    hits alone is not enough when the source is unguarded: two equal source
+    points can both hit one target.
+    """
 
     def __init__(self, target: np.ndarray, r: float) -> None:
         self.target, self.r = np.asarray(target, dtype=np.float64), r
@@ -140,11 +168,13 @@ class _Index:
         order = np.argsort(keys, kind="stable")
         self.keys, self.owner = keys[order], order // len(corners)
 
-    def blocks(self, source: np.ndarray):
+    def blocks(self, source: np.ndarray, r: float):
         """Every pair (i, j) with ||source[i] - target[j]|| <= r, i ascending,
         in blocks of at most about ``_BLOCK`` candidates each."""
+        if not r <= self.r:
+            raise ValueError(f"query radius {r:.3g} exceeds the index's build radius {self.r:.3g}")
         source = np.asarray(source, dtype=np.float64)
-        _check_resolution(max(self.span, float(np.max(np.abs(source), initial=0.0))), self.r)
+        _check_resolution(max(self.span, float(np.max(np.abs(source), initial=0.0))), r)
         probes = _cell_keys(np.floor(source / self.cell))
         # searchsorted runs several times faster on sorted needles
         by_key = np.argsort(probes)
@@ -157,80 +187,47 @@ class _Index:
             i = np.repeat(np.arange(lo, hi), c)
             j = self.owner[np.repeat(start[lo:hi] - np.cumsum(c) + c, c) + np.arange(c.sum())]
             diff = source[i] - self.target[j]
-            near = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= self.r
+            near = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= r
             yield i[near], j[near]
 
-    def pairs(self, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        i, j = zip(*self.blocks(source))
+    def pairs(self, source: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        i, j = zip(*self.blocks(source, r))
         return np.concatenate(i), np.concatenate(j)
 
-    def bijective(self, images: np.ndarray) -> np.ndarray:
+    def bijective(self, images: np.ndarray, r: float) -> np.ndarray:
         """Which point sets of a (k, n, d) stack map bijectively onto the
         guarded target within r."""
         k, n = images.shape[:2]
-        i, j = self.pairs(images.reshape(k * n, images.shape[2]))
+        i, j = self.pairs(images.reshape(k * n, images.shape[2]), r)
         per_source = np.bincount(i, minlength=k * n).reshape(k, n)
         per_target = np.bincount(i // n * len(self.target) + j, minlength=k * len(self.target))
         return np.all(per_source == 1, axis=1) & np.all(per_target.reshape(k, -1) == 1, axis=1)
 
 
-def _pairs_within(source: np.ndarray, target: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every index pair (i, j) with ||source[i] - target[j]|| <= r; i ascends.
-
-    One :class:`_Index` build, then one query.  The index stores each target
-    t under the 2**d cells floor(t / c - 1/2) + {0, 1}**d (16 in 4-D, 8 in
-    3-D) and sorts their keys once; a query q probes the one cell
-    floor(q / c), and every target stored there gets the exact distance
-    test.  Exact: if |q - t| <= r on every axis, then there
-    t / c - 1/2 < q / c < t / c + 1/2, so floor(q / c) is floor(t / c - 1/2)
-    or the next cell.  The side c = 2r + (r + max(1, max |target|)) * 2**-40
-    exceeds 2r by far more than rounding in the divisions and the distance
-    test can move a point, so this holds for the computed values too.
-
-    Float resolution.  A coordinate of size x is only known to within an ulp,
-    about max(1, |x|) * 2**-52, and a distance test at a radius of a few ulps
-    decides rounding noise rather than geometry.  So ``r`` must exceed
-    max(1, max |coordinate|) * 2**-50 over both point sets, else ValueError.
-    The same floor keeps every cell index below 2**49 in size: exact in
-    float64, no int64 overflow.
-
-    Matching.  Suppose no two target points lie within 2r of each other (the
-    strict guard tol < separation / 2).  Then each source point has at most
-    one target within r, since two such targets t, t' would be within
-    ||t - s|| + ||s - t'|| <= 2r of each other.  The pairs therefore already
-    form a partial function from sources to targets, and a tolerance match
-    is a bijection exactly when every source has one hit and no target is
-    hit twice; there is no other assignment left to search for.  A count of
-    hits alone is not enough when the source is unguarded: two equal source
-    points can both hit one target.
-    """
-    return _Index(target, r).pairs(source)
-
-
-def min_pairwise_distance(points: np.ndarray, within: float) -> float:
-    """Distance of the closest two distinct points, when they are at most
-    ``within`` apart; inf otherwise (and for one point)."""
-    points = np.asarray(points, dtype=np.float64)
+def min_pairwise_distance(index: _Index) -> float:
+    """Distance of the closest two distinct target points of the index, when
+    at most its build radius apart; inf otherwise (and for one point)."""
     best = float("inf")
-    for i, j in _Index(points, within).blocks(points):
-        gaps = np.linalg.norm(points[i[i != j]] - points[j[i != j]], axis=1)
+    for i, j in index.blocks(index.target, index.r):
+        gaps = np.linalg.norm(index.target[i[i != j]] - index.target[j[i != j]], axis=1)
         best = float(np.min(gaps, initial=best))
     return best
 
 
-def _carrying(points: np.ndarray, matrices: np.ndarray, index: _Index) -> np.ndarray:
+def _carrying(points: np.ndarray, matrices: np.ndarray, tol: float) -> np.ndarray:
     """The indices, ascending, of the matrices that carry the points
-    bijectively onto the guarded, indexed target.
+    bijectively onto themselves within tol, after the guard.
 
-    Such a matrix sends point 0 within the radius of a target point; that
-    test runs for every matrix at once, and only the hits are matched in
-    full, against the same index, in chunks of about ``_BLOCK`` points.
+    Such a matrix sends point 0 within tol of a point; that test runs for
+    every matrix at once, and only the hits are matched in full, against
+    the guard's index, in chunks of about ``_BLOCK`` points.
     """
-    hits = np.flatnonzero(np.bincount(index.pairs(points[0] @ matrices)[0], minlength=len(matrices)))
+    index = _well_posed_tol(points, tol)
+    hits = np.flatnonzero(np.bincount(index.pairs(points[0] @ matrices, tol)[0], minlength=len(matrices)))
     keep = np.zeros(len(hits), dtype=bool)
     step = _BLOCK // len(points) + 1
     for lo in range(0, len(hits), step):
-        keep[lo : lo + step] = index.bijective(points @ matrices[hits[lo : lo + step]])
+        keep[lo : lo + step] = index.bijective(points @ matrices[hits[lo : lo + step]], tol)
     return hits[keep]
 
 
@@ -238,7 +235,7 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     """Indices of the points greedy dedup keeps: in order, a point is kept
     unless an already kept point lies within tol.  On a line with points at
     0, 0.6 tol and 1.2 tol, the first and the third are kept."""
-    i, j = _pairs_within(points, points, tol)
+    i, j = _Index(points, tol).pairs(points, tol)
     earlier = j < i
     keep = np.ones(len(points), dtype=bool)
     # i ascends, so each verdict read here is already final
@@ -255,21 +252,24 @@ def match_point_sets(source: np.ndarray, target: np.ndarray, tol: float) -> bool
     target gets the well-posedness guard: ValueError when two of its points
     lie within 2*tol, where the matching would be ambiguous.
     """
-    target = np.asarray(target, dtype=np.float64)
-    _well_posed_tol(target, tol)
-    return bool(_Index(target, tol).bijective(np.asarray(source, dtype=np.float64)[None])[0])
+    index = _well_posed_tol(target, tol)
+    return bool(index.bijective(np.asarray(source, dtype=np.float64)[None], tol)[0])
 
 
-def _well_posed_tol(points: np.ndarray, tol: float) -> None:
+def _well_posed_tol(points: np.ndarray, tol: float) -> _Index:
+    """ValueError unless tol < separation / 2; returns the index, built at
+    2 tol, that measured the separation, for matching at tol."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     _check_resolution(float(np.max(np.abs(points), initial=0.0)), tol)
-    separation = min_pairwise_distance(points, 2.0 * tol)
+    index = _Index(points, 2.0 * tol)
+    separation = min_pairwise_distance(index)
     if tol >= 0.5 * separation:
         raise ValueError(
             f"tolerance {tol} is not below half the minimum pairwise distance "
             f"({separation / 2:.3g}); matching would be ill-posed"
         )
+    return index
 
 
 def invariant_under(cloud: PointCloud4, iso: Isometry4, tol: float = DEFAULT_TOL) -> bool:
@@ -279,10 +279,9 @@ def invariant_under(cloud: PointCloud4, iso: Isometry4, tol: float = DEFAULT_TOL
 
 def surviving_candidates(cloud: PointCloud4, tol: float = DEFAULT_TOL) -> list[Isometry4]:
     """Filter the 384-candidate universe down to the cloud's symmetries."""
-    _well_posed_tol(cloud.points, tol)
+    kept = _carrying(cloud.points, candidate_stack()[0], tol)
     candidates = hyperoctahedral_candidates()
-    matrices, _ = candidate_stack()
-    return [candidates[k] for k in _carrying(cloud.points, matrices, _Index(cloud.points, tol))]
+    return [candidates[k] for k in kept]
 
 
 def symmetry_group(cloud: PointCloud4, tol: float = DEFAULT_TOL) -> SymmetryReport:
@@ -315,9 +314,8 @@ def seed_asymmetry_check(points: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError(f"expected an (n, 3) array, got shape {points.shape}")
     if len(points) == 0:
         raise ValueError("seed has no vertices")
-    _well_posed_tol(points, tol)
     matrices = signed_permutation_matrices(3)  # the identity first
-    return _carrying(points, matrices, _Index(points, tol)).tolist() == [0]
+    return _carrying(points, matrices, tol).tolist() == [0]
 
 
 def classify_chirality(

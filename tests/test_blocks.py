@@ -31,7 +31,7 @@ from q8sculpt.blocks import (
 from q8sculpt.hypercube import contact_transfer_matrix, signed_permutation_matrices
 from q8sculpt.mesh_pipeline import face_contact_check
 from q8sculpt.quat import GENERATORS, I, J, K, MINUS_ONE, ONE, Q8_ELEMENTS, Q8Element, q8_mul, q8_right_matrix_int
-from q8sculpt.symmetry import DEFAULT_TOL, _carrying, _Index
+from q8sculpt.symmetry import DEFAULT_TOL, _carrying
 
 
 def test_standard_block_decorations():
@@ -71,6 +71,31 @@ def test_block_transform_composes(rng):
         assert block.transform(r1).transform(r2) == block.transform(r1 @ r2)
     eye = np.eye(3, dtype=np.int64)
     assert block.transform(eye) == block
+
+
+def _without_face(face):
+    faces = dict(standard_block().faces)
+    del faces[face]
+    return faces
+
+
+@pytest.mark.parametrize(
+    "refused, match",
+    [
+        (lambda: FaceDecoration("wing", "right", 0), "unknown motif"),
+        (lambda: FaceDecoration("paw", "up", 0), "unknown chirality"),
+        (lambda: FaceDecoration("paw", "right", 4), "turn must be 0..3"),
+        (lambda: DecoratedBlock(_without_face((0, -1))), "exactly the six cube faces"),
+        (lambda: standard_block().transform(2 * np.eye(3)), "signed permutation"),
+        (lambda: standard_block().transform(np.zeros((3, 3))), "signed permutation"),
+        (lambda: verify_line([standard_block()]), "at least two blocks"),
+        (lambda: verify_line([]), "at least two blocks"),
+    ],
+    ids=["motif", "chirality", "turn", "missing-face", "scaled-map", "singular-map", "one-block", "no-block"],
+)
+def test_refusals(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()
 
 
 def test_block_has_no_symmetry():
@@ -451,7 +476,7 @@ def _seed_symmetries(block):
     themselves, found by the matcher that `seed_asymmetry_check` uses."""
     points = block_seed(block).vertices
     cube_maps = signed_permutation_matrices(3)
-    return [cube_maps[k].tolist() for k in _carrying(points, cube_maps, _Index(points, DEFAULT_TOL))]
+    return [cube_maps[k].tolist() for k in _carrying(points, cube_maps, DEFAULT_TOL)]
 
 
 ONE_FACE_VARIANTS = list(itertools.product(FACES, MOTIFS, CHIRALITIES, range(4)))

@@ -8,7 +8,7 @@ import pytest
 from q8sculpt import mesh_pipeline
 from q8sculpt.cli import main
 from q8sculpt.hypercube import contact_transfer_matrix, sixteen_cell
-from q8sculpt.mesh_pipeline import load_obj, write_obj, Mesh, demo_seed, face_contact_check
+from q8sculpt.mesh_pipeline import load_obj, merge_meshes, write_obj, Mesh, demo_seed, face_contact_check
 from q8sculpt.symmetry import PointCloud4
 
 
@@ -28,7 +28,7 @@ def test_generate_and_verify_demo(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["scale"] >= 1.0
     assert [p["element"] for p in manifest["parts"]] == ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    assert manifest["merged"]["feature_stats"]["min_edge"] >= 0.8 - 1e-9
+    assert manifest["merged"]["feature_stats"]["min_edge"] >= 0.8
 
     report_path = tmp_path / "report.json"
     assert run(["verify", "--cloud", str(out / "cloud.json"), "--out", str(report_path)]) == 0
@@ -219,8 +219,14 @@ def test_malformed_obj_is_exit_2(tmp_path, capsys):
         ("v 0 0 0\nv 1 2\n", ["stats", "--seed", "{seed}"], "line 2: vertex record needs three coordinates"),
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n", ["stats", "--seed", "{seed}"], "line 4: bad face index 'x'"),
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 2\n", ["stats", "--seed", "{seed}"], "line 4: face repeats a vertex"),
+        ("v 0 0 0\nv 1 0 0\nv 0 nan 0\n", ["stats", "--seed", "{seed}"], "line 3: non-finite vertex coordinate in 'v 0 nan 0'"),
+        (
+            "v 0 0 0\nv 1 0 0\nv 0 1e999 0\n",
+            ["stats", "--seed", "{seed}"],
+            "line 3: non-finite vertex coordinate in 'v 0 1e999 0'",
+        ),
     ],
-    ids=["zero-pole", "short-vertex", "bad-face-index", "repeated-face-vertex"],
+    ids=["zero-pole", "short-vertex", "bad-face-index", "repeated-face-vertex", "nan-vertex", "overflowing-vertex"],
 )
 def test_input_refusals_are_one_line_exit_2(tmp_path, capsys, obj, argv, reason):
     seed_path, out = tmp_path / "seed.obj", tmp_path / "o"
@@ -258,6 +264,21 @@ def test_pole_flag_parsing(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert err == ["q8sculpt: error: input-error: pole coordinates must be finite"]
         assert not refused.exists()
+
+
+@pytest.mark.parametrize("scale, merges", [([], 2), (["--scale", "3"], 1)], ids=["min-feature", "given-scale"])
+def test_generate_merges_once_per_scale(tmp_path, monkeypatch, scale, merges):
+    """The sculpture at scale 1 merges only to measure its shortest edge;
+    the scaled one merges once, for the merged file and the manifest."""
+    calls = []
+
+    def counting(meshes):
+        calls.append(len(meshes))
+        return merge_meshes(meshes)
+
+    monkeypatch.setattr(mesh_pipeline, "merge_meshes", counting)
+    assert run(["generate", "--seed", "demo", "--out", str(tmp_path / "o"), *scale]) == 0
+    assert calls == [8] * merges
 
 
 def test_explicit_scale_skips_min_feature(tmp_path):

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from q8sculpt import mesh_pipeline
 from q8sculpt.hypercube import contact_transfer_matrix
 from q8sculpt.mesh_pipeline import (
     FLOAT32_MAX,
@@ -26,7 +27,7 @@ from q8sculpt.mesh_pipeline import (
 )
 from q8sculpt.projection import PoleProximityError, default_pole, radial_to_s3, stereo_project, stereo_unproject
 from q8sculpt.quat import I, ONE, Q8_ELEMENTS, q8_mul, q8_right_matrix_int, right_mul_matrix
-from q8sculpt.symmetry import DEFAULT_TOL, PointCloud4, _dedup, _pairs_within, _well_posed_tol, seed_asymmetry_check
+from q8sculpt.symmetry import DEFAULT_TOL, PointCloud4, _dedup, _well_posed_tol, seed_asymmetry_check
 
 TETRA_OBJ = """\
 v 0 0 0
@@ -76,6 +77,12 @@ def test_load_errors_carry_line_numbers():
         load_obj("f 1 2\nv 0 0 0\n")
     with pytest.raises(MeshFormatError, match="positive"):
         load_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -1 2 3\n")
+
+
+@pytest.mark.parametrize("coordinate", ["nan", "1e999", "-inf"])
+def test_load_obj_names_the_line_of_a_non_finite_coordinate(coordinate):
+    with pytest.raises(MeshFormatError, match=f"line 3: non-finite vertex coordinate in 'v 0 {coordinate} 0'"):
+        load_obj(f"v 0 0 0\nv 1 0 0\nv 0 {coordinate} 0\nf 1 2 3\n")
 
 
 def test_obj_round_trip():
@@ -254,6 +261,24 @@ def test_generate_sculpture_structure(random_seed_mesh):
         generate_sculpture(random_seed_mesh, default_pole(), 0.0)
 
 
+def test_a_bundle_merges_only_when_asked(random_seed_mesh, monkeypatch):
+    calls = []
+
+    def counting(meshes):
+        calls.append(len(meshes))
+        return merge_meshes(meshes)
+
+    monkeypatch.setattr(mesh_pipeline, "merge_meshes", counting)
+    bundle = generate_sculpture(random_seed_mesh, default_pole(), 2.0)
+    big = bundle.scaled(3.0)
+    with pytest.raises(ValueError, match="float32 range"):
+        bundle.scaled(1e38)
+    assert calls == []
+    assert bundle.merged is bundle.merged
+    assert big.merged.n_vertices == 8 * random_seed_mesh.n_vertices
+    assert calls == [8, 8]
+
+
 def test_generate_is_deterministic(random_seed_mesh):
     pole = default_pole()
     first = generate_sculpture(random_seed_mesh, pole, 1.5)
@@ -323,7 +348,42 @@ def test_scale_for_min_feature(random_seed_mesh):
     pole = default_pole()
     scale = scale_for_min_feature(generate_sculpture(random_seed_mesh, pole, 1.0).merged, 0.8)
     merged = generate_sculpture(random_seed_mesh, pole, scale).merged
-    assert feature_stats(merged)["min_edge"] >= 0.8 - 1e-9
+    assert feature_stats(merged)["min_edge"] >= 0.8
+
+
+def _min_feature_probe_seeds():
+    yield demo_seed()
+    for s in range(300):
+        points = np.random.default_rng(s).uniform(-0.9, 0.9, size=(12, 3))
+        yield Mesh(points, np.array([(0, k, k + 1) for k in range(1, 11)]))
+
+
+def test_min_feature_is_met_exactly():
+    """min_feature / shortest edge alone falls an ulp or two short on about
+    a quarter of these probes; the scale must still meet the bound exactly."""
+    for seed in _min_feature_probe_seeds():
+        bundle = generate_sculpture(seed, default_pole())
+        for min_feature in (0.8, 0.37, 1.3, 2.9):
+            scale = scale_for_min_feature(bundle.merged, min_feature)
+            assert feature_stats(bundle.scaled(scale).merged)["min_edge"] >= min_feature
+
+
+@pytest.mark.parametrize(
+    "min_feature, match",
+    [
+        (0.0, "must be positive"),
+        (-1.0, "must be positive"),
+        (float("nan"), "must be positive"),
+        (float("inf"), "beyond the float range"),
+        (1e305, "beyond the float range"),  # a finite scale, but coordinates overflow
+        (1e36, "beyond the float range"),  # coordinates beyond what an STL record holds
+    ],
+)
+def test_scale_for_min_feature_refusals(min_feature, match):
+    # shortest edge 1e-3, largest coordinate 100
+    mesh = Mesh(np.array([[0.0, 0, 0], [1e-3, 0, 0], [0, 1e-3, 0], [100.0, 0, 0]]), np.array([[0, 1, 2], [0, 1, 3]]))
+    with pytest.raises(ValueError, match=match):
+        scale_for_min_feature(mesh, min_feature)
 
 
 def test_demo_seed_is_printable_seed(demo_mesh):
@@ -412,8 +472,7 @@ def per_axis_face_contact_check(seed, tol):
         if len(plus) == 0 or len(minus) == 0:
             axes.append(AxisContact(letter, False, len(plus), len(minus), (), ()))
             continue
-        _well_posed_tol(minus, tol)
-        i, j = _pairs_within(plus @ contact_transfer_matrix(axis), minus, tol)
+        i, j = _well_posed_tol(minus, tol).pairs(plus @ contact_transfer_matrix(axis), tol)
         axes.append(
             AxisContact(
                 letter,

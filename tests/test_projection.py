@@ -56,6 +56,9 @@ def test_default_pole_two_distance_classes():
 def test_pole_requires_unit_vector():
     with pytest.raises(ValueError):
         Pole(np.array([1.0, 1.0, 0.0, 0.0]))
+    for bad in (np.array([1.0, 0.0, 0.0]), np.eye(4)[:1], np.eye(4)[:, :1]):
+        with pytest.raises(ValueError, match="pole must be a 4-vector"):
+            Pole(bad)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             Pole(np.array([bad, 0.0, 0.0, 0.0]))

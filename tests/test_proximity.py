@@ -14,7 +14,6 @@ from q8sculpt.symmetry import (
     MIRROR_W,
     PointCloud4,
     _dedup,
-    _pairs_within,
     classify_chirality,
     surviving_candidates,
     symmetry_group,
@@ -27,7 +26,7 @@ def brute_pairs(source, target, r):
 
 
 def kernel_pairs(source, target, r):
-    i, j = _pairs_within(source, target, r)
+    i, j = symmetry._Index(target, r).pairs(source, r)
     assert np.all(np.diff(i) >= 0)  # grouped by source
     return sorted(zip(i, j))
 
@@ -140,7 +139,7 @@ def test_one_index_serves_many_sources(dim):
         np.zeros((0, dim)),
     ]
     for source in sources:
-        i, j = index.pairs(source)
+        i, j = index.pairs(source, r)
         assert np.all(np.diff(i) >= 0)
         assert sorted(zip(i, j)) == brute_pairs(source, target, r)
     # the bijection verdicts of one stacked query, against the brute-force matcher
@@ -148,7 +147,23 @@ def test_one_index_serves_many_sources(dim):
     images = np.stack([spread[gen.permutation(40)] + gen.normal(scale=s, size=(40, dim)) for s in (0, 0.05, 0.5, 2)])
     images[0, 0] = images[0, 1]  # a duplicated source point
     spread_index = symmetry._Index(spread, r)
-    assert spread_index.bijective(images).tolist() == [brute_bijection(im, spread, r) for im in images]
+    assert spread_index.bijective(images, r).tolist() == [brute_bijection(im, spread, r) for im in images]
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_an_index_answers_every_radius_up_to_its_own(dim):
+    gen = np.random.default_rng(10 + dim)
+    target = gen.uniform(-2.0, 2.0, size=(150, dim))
+    source = target[gen.permutation(150)] + gen.normal(scale=0.3, size=(150, dim))
+    index = symmetry._Index(target, 0.6)
+    for r in (0.6, 0.3, 0.05, 1e-3):
+        i, j = index.pairs(source, r)
+        assert np.all(np.diff(i) >= 0)
+        assert sorted(zip(i, j)) == brute_pairs(source, target, r)
+    # the exactness proof covers radii up to the build radius only
+    for r in (np.nextafter(0.6, 1.0), 1.2, np.nan):
+        with pytest.raises(ValueError, match="exceeds the index's build radius"):
+            index.pairs(source, r)
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -173,13 +188,13 @@ def test_pairs_within_in_small_blocks(monkeypatch):
     gen = np.random.default_rng(5)
     points = gen.uniform(-1.0, 1.0, size=(60, 4))
     assert kernel_pairs(points, points, 0.9) == brute_pairs(points, points, 0.9)
-    assert symmetry.min_pairwise_distance(points, 0.9) == pytest.approx(
+    assert symmetry.min_pairwise_distance(symmetry._Index(points, 0.9)) == pytest.approx(
         min(np.linalg.norm(points[a] - points[b]) for a, b in itertools.combinations(range(60), 2))
     )
     # one index, reused across sources, block by block
     index = symmetry._Index(points, 0.9)
     for source in (points[::-1], points[:5] + 0.1, gen.uniform(-1.0, 1.0, size=(30, 4))):
-        assert sorted(zip(*index.pairs(source))) == brute_pairs(source, points, 0.9)
+        assert sorted(zip(*index.pairs(source, 0.9))) == brute_pairs(source, points, 0.9)
     # the candidate filter matches one candidate per chunk
     cloud = cube_orbit_cloud(2)
     survivors = [c.key() for c in surviving_candidates(PointCloud4(cloud), 1e-6)]
@@ -194,21 +209,21 @@ def test_pairs_within_empty_inputs():
 def test_pairs_within_refuses_float_resolution():
     points = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="float resolution"):
-        _pairs_within(points, points, 1e-300)
+        symmetry._Index(points, 1e-300).pairs(points, 1e-300)
     with pytest.raises(ValueError, match="float resolution"):
-        _pairs_within(points * 1e6, points * 1e6, 1e-12)
+        symmetry._Index(points * 1e6, 1e-12).pairs(points * 1e6, 1e-12)
     assert kernel_pairs(points * 1e6, points * 1e6, 1e-6) == [(0, 0), (1, 1)]
     with pytest.raises(ValueError, match="finite"):
-        _pairs_within(points, points * np.nan, 0.1)
+        symmetry._Index(points * np.nan, 0.1).pairs(points, 0.1)
     with pytest.raises(ValueError, match="finite"):
-        _pairs_within(points, points, np.inf)
+        symmetry._Index(points, np.inf).pairs(points, np.inf)
     # a reused index still checks each source's own span
     index = symmetry._Index(points, 1e-12)
-    assert sorted(zip(*index.pairs(points))) == [(0, 0), (1, 1)]
+    assert sorted(zip(*index.pairs(points, 1e-12))) == [(0, 0), (1, 1)]
     with pytest.raises(ValueError, match="float resolution"):
-        index.pairs(points * 1e6)
+        index.pairs(points * 1e6, 1e-12)
     with pytest.raises(ValueError, match="finite"):
-        index.pairs(points + np.inf)
+        index.pairs(points + np.inf, 1e-12)
 
 
 def test_dedup_keeps_first_of_a_chain():

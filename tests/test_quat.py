@@ -13,6 +13,7 @@ from q8sculpt.quat import (
     Quaternion,
     UnitQuaternion,
     left_mul_matrix,
+    matrix_key,
     mul,
     q8_inverse,
     q8_mul,
@@ -221,3 +222,34 @@ def test_integer_right_matrices_match_float():
         assert np.array_equal(
             q8_right_matrix_int(g).astype(float), right_mul_matrix(g).m
         )
+
+
+@pytest.mark.parametrize(
+    "refused, match",
+    [
+        (lambda: Isometry4(np.eye(3)), "expected a 4x4 matrix"),
+        (lambda: matrix_key(np.eye(4) * 0.5), "not integers"),
+        (lambda: right_mul_matrix(Quaternion(2.0, 0.0, 0.0, 0.0)), "unit quaternion"),
+        (lambda: Q8Element.from_name("l"), "unknown group element name"),
+    ],
+    ids=["isometry-shape", "non-integer-key", "non-unit-multiplier", "unknown-name"],
+)
+def test_refusals(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()
+
+
+def test_verify_group_axioms_refuses_duplicates_and_the_empty_list():
+    assert not verify_group_axioms([ONE, ONE, MINUS_ONE])
+    assert not verify_group_axioms([])
+
+
+def test_operators_are_the_products():
+    units = random_unit_quaternions(6)
+    for a in units:
+        assert -a == Quaternion(-a.w, -a.x, -a.y, -a.z)
+        for b in units:
+            assert a * b == mul(a, b)
+    for a in Q8_ELEMENTS:
+        for b in Q8_ELEMENTS:
+            assert a * b == q8_mul(a, b)

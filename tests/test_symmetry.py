@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from q8sculpt import symmetry
 from q8sculpt.hypercube import (
     candidate_stack,
     hyperoctahedral_candidates,
@@ -26,6 +27,7 @@ from q8sculpt.symmetry import (
     MIRROR_W,
     PointCloud4,
     SymmetryReport,
+    _Index,
     classify_chirality,
     invariant_under,
     match_point_sets,
@@ -250,12 +252,48 @@ def test_point_cloud_validation():
             PointCloud4(np.array([[bad, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "refused, match",
+    [
+        (lambda: PointCloud4(np.eye(3)), r"expected an \(n, 4\) array"),
+        (lambda: PointCloud4(np.eye(4)[0]), r"expected an \(n, 4\) array"),
+        (lambda: seed_asymmetry_check(np.eye(4)), r"expected an \(n, 3\) array"),
+        (lambda: seed_asymmetry_check(np.eye(3)[0]), r"expected an \(n, 3\) array"),
+    ],
+    ids=["cloud-of-3-vectors", "cloud-of-one-vector", "seed-of-4-vectors", "seed-of-one-vector"],
+)
+def test_shape_refusals(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()
+
+
+def test_the_guard_and_the_search_share_one_index(monkeypatch, sculpture_cloud, demo_mesh):
+    """Each entry point builds one index, the guard's at 2 tol, and matches on it."""
+    built = []
+
+    class Counting(symmetry._Index):
+        def __init__(self, target, r):
+            built.append((len(target), r))
+            super().__init__(target, r)
+
+    monkeypatch.setattr(symmetry, "_Index", Counting)
+    tol = 1e-6
+    assert symmetry_group(sculpture_cloud, tol).is_exactly_q8
+    assert built == [(len(sculpture_cloud), 2 * tol)]
+    built.clear()
+    assert seed_asymmetry_check(demo_mesh.vertices, tol)
+    assert built == [(demo_mesh.n_vertices, 2 * tol)]
+    built.clear()
+    assert match_point_sets(demo_mesh.vertices[::-1], demo_mesh.vertices, tol)
+    assert built == [(demo_mesh.n_vertices, 2 * tol)]
+
+
 def test_min_pairwise_distance():
     pts = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
-    assert min_pairwise_distance(pts, 2.0) == pytest.approx(1.0)
-    assert min_pairwise_distance(pts[:1], 2.0) == np.inf
+    assert min_pairwise_distance(_Index(pts, 2.0)) == pytest.approx(1.0)
+    assert min_pairwise_distance(_Index(pts[:1], 2.0)) == np.inf
     # the closest pair lies beyond the search radius
-    assert min_pairwise_distance(pts, 0.5) == np.inf
+    assert min_pairwise_distance(_Index(pts, 0.5)) == np.inf
 
 
 def test_match_point_sets_requires_bijection():
