@@ -91,8 +91,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         generate_sculpture,
         orbit_cloud,
         scale_for_min_feature,
-        write_obj,
-        write_stl,
+        sculpture_files,
     )
     from .projection import PoleProximityError
     from .symmetry import PointCloud4
@@ -114,18 +113,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             f"below the smallest normal float32 ({tiny:.3g}) that binary STL can hold"
         )
     cloud = orbit_cloud(seed)  # refuses an ill-posed cloud before any write
+    ext = args.format
+    part_files, merged_file = sculpture_files(bundle, ext)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = args.format
-
-    def render(mesh: Mesh, comment: str) -> bytes:
-        return write_obj(mesh, comments=[comment]) if ext == "obj" else write_stl(mesh)
-
     manifest_parts = []
     for g, mesh in bundle.parts.items():
         name = f"part_{g.name}.{ext}"
-        (out_dir / name).write_bytes(render(mesh, f"q8sculpt part, element {g.name}"))
+        (out_dir / name).write_bytes(part_files[g])
         stats = feature_stats(mesh)
         manifest_parts.append(
             {
@@ -138,7 +134,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             }
         )
     merged_name = f"merged.{ext}"
-    (out_dir / merged_name).write_bytes(render(bundle.merged, "q8sculpt merged sculpture"))
+    (out_dir / merged_name).write_bytes(merged_file)
 
     cloud_name = "cloud.json"
     (out_dir / cloud_name).write_text(PointCloud4(cloud).to_json())

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import Isometry4, Q8_ELEMENTS, integer_isometries, q8_right_matrix_int
+from .quat import Isometry4, Q8_ELEMENTS, Record, integer_isometries, q8_right_matrix_int
 
 
 def _quarter_turn(axis: int) -> np.ndarray:
@@ -50,12 +49,15 @@ def contact_transfer_matrix(axis: int) -> np.ndarray:
     return reflect @ _quarter_turn(axis)
 
 
-@dataclass(frozen=True)
-class SixteenCell:
-    """Vertices and edges of the dual polytope of the hypercube."""
+class SixteenCell(Record):
+    """Vertices and edges of the dual polytope of the hypercube: ``vertices``
+    the (8, 4) signed standard basis vectors, ``edges`` the 24 pairs of
+    vertex indices that are not antipodal."""
 
-    vertices: np.ndarray  # (8, 4) signed standard basis vectors
-    edges: tuple[tuple[int, int], ...]  # 24 non-antipodal vertex pairs
+    __slots__ = __match_args__ = ("vertices", "edges")
+
+    def __init__(self, vertices: np.ndarray, edges: tuple[tuple[int, int], ...]) -> None:
+        self._store(vertices=vertices, edges=edges)
 
 
 def sixteen_cell() -> SixteenCell:

@@ -12,15 +12,14 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .quat import Q8Element, Q8_ELEMENTS, q8_right_matrix_int
+from .quat import Q8Element, Q8_ELEMENTS, Record, q8_right_matrix_int
 from .projection import Pole, PoleProximityError, radial_to_s3, stereo_project
 from .hypercube import contact_transfer_matrix
-from .symmetry import DEFAULT_TOL, _Index, _dedup, _well_posed_tol
+from .symmetry import DEFAULT_TOL, _Index, _check_separation, _dedup, _well_posed_tol
 
 SEED_DOMAIN_TOL = 1e-9
 
@@ -42,18 +41,16 @@ class MeshFormatError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-@dataclass(frozen=True, eq=False)
-class Mesh:
-    """Triangle mesh: float vertices and integer index triples."""
+class Mesh(Record):
+    """Triangle mesh: float vertices and integer index triples, both held
+    read-only."""
 
-    vertices: np.ndarray
-    triangles: np.ndarray
+    __slots__ = __match_args__ = ("vertices", "triangles")
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3).copy()
-        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3).copy()
-        if not np.all(np.isfinite(v)):
-            raise ValueError("mesh vertices must be finite")
+    def __init__(self, vertices: np.ndarray, triangles: np.ndarray) -> None:
+        v = np.asarray(vertices, dtype=np.float64).reshape(-1, 3).copy()
+        t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3).copy()
+        _check_finite(v)
         if len(t):
             if t.min() < 0 or t.max() >= len(v):
                 raise ValueError("triangle index out of range")
@@ -62,8 +59,16 @@ class Mesh:
                 raise ValueError(f"degenerate triangle at index {int(np.argmax(repeated))}")
         v.setflags(write=False)
         t.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", t)
+        self._store(vertices=v, triangles=t)
+
+    def _with_vertices(self, vertices: np.ndarray) -> "Mesh":
+        """The mesh of these new (n, 3) vertices, which it takes over, on the
+        same, already checked, triangles: only finiteness is checked."""
+        _check_finite(vertices)
+        vertices.setflags(write=False)
+        mesh = object.__new__(type(self))
+        mesh._store(vertices=vertices, triangles=self.triangles)
+        return mesh
 
     @property
     def n_vertices(self) -> int:
@@ -74,7 +79,14 @@ class Mesh:
         return len(self.triangles)
 
     def scaled(self, factor: float) -> "Mesh":
-        return Mesh(self.vertices * factor, self.triangles)
+        """The mesh with every vertex multiplied by ``factor``; it shares this
+        mesh's triangle array."""
+        return self._with_vertices(self.vertices * factor)
+
+
+def _check_finite(vertices: np.ndarray) -> None:
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("mesh vertices must be finite")
 
 
 def load_obj(data: bytes | str) -> Mesh:
@@ -172,6 +184,47 @@ def write_stl(mesh: Mesh) -> bytes:
     return bytes(out)
 
 
+def sculpture_files(bundle: SculptureBundle, fmt: str) -> tuple[dict[Q8Element, bytes], bytes]:
+    """Each part's file and the merged file of a bundle in format ``fmt``,
+    "obj" or "stl", cut from one encoding of the merged mesh.
+
+    The files are byte for byte what :func:`write_obj` writes for each mesh
+    with one comment line naming it, or what :func:`write_stl` writes.  A
+    part's vertex lines or STL records are a run of the merged file's, in
+    part order.  An OBJ part's face lines are the merged file's first ones,
+    which hold the first part's triangles at offset zero; so every part
+    must have the same triangles, as :func:`generate_sculpture`'s parts do,
+    else ValueError.
+    """
+    meshes = list(bundle.parts.values())
+    if fmt == "stl":
+        merged = write_stl(bundle.merged)
+        head, size = len(_STL_HEADER) + 4, _STL_RECORD.itemsize
+        ends = np.cumsum([m.n_triangles for m in meshes]).tolist()
+        parts = [
+            _STL_HEADER + struct.pack("<I", hi - lo) + merged[head + lo * size : head + hi * size]
+            for lo, hi in zip([0, *ends], ends)
+        ]
+    elif fmt == "obj":
+        triangles = meshes[0].triangles
+        if not all(np.array_equal(m.triangles, triangles) for m in meshes):
+            raise ValueError("OBJ part files need every part to have the same triangles")
+        merged = write_obj(bundle.merged, comments=["q8sculpt merged sculpture"])
+        # line_end[n] is the offset just past line n; line 0 is the comment,
+        # lines 1..n_vertices the vertices, then the faces
+        line_end = (np.flatnonzero(np.frombuffer(merged, dtype=np.uint8) == ord("\n")) + 1).tolist()
+        first_face = bundle.merged.n_vertices
+        faces = merged[line_end[first_face] : line_end[first_face + len(triangles)]]
+        ends = np.cumsum([m.n_vertices for m in meshes]).tolist()
+        parts = [
+            f"# q8sculpt part, element {g.name}\n".encode() + merged[line_end[lo] : line_end[hi]] + faces
+            for g, lo, hi in zip(bundle.parts, [0, *ends], ends)
+        ]
+    else:
+        raise ValueError(f"unknown mesh format {fmt!r}")
+    return dict(zip(bundle.parts, parts)), merged
+
+
 def _check_seed_domain(mesh: Mesh) -> None:
     overshoot = np.max(np.abs(mesh.vertices), axis=1) - 1.0
     bad = np.nonzero(overshoot > SEED_DOMAIN_TOL)[0]
@@ -201,15 +254,17 @@ def transform_mesh(seed: Mesh, g: Q8Element, pole: Pole) -> Mesh:
         projected = stereo_project(unprojected_part_points(seed, g), pole)
     except PoleProximityError as exc:
         raise PoleProximityError(f"seed {exc} under element {g.name}") from None
-    return Mesh(projected, seed.triangles)
+    return seed._with_vertices(projected)
 
 
-@dataclass(frozen=True)
-class SculptureBundle:
+class SculptureBundle(Record):
     """The eight transformed copies, and ``merged``, their union computed
     from them by :func:`merge_meshes` on first use."""
 
-    parts: dict[Q8Element, Mesh]
+    __match_args__ = ("parts",)  # no __slots__: the cached property needs a __dict__
+
+    def __init__(self, parts: dict[Q8Element, Mesh]) -> None:
+        self._store(parts=parts)
 
     @functools.cached_property
     def merged(self) -> Mesh:
@@ -293,8 +348,7 @@ def scale_for_min_feature(merged: Mesh, min_feature: float) -> float:
     raise ValueError(f"--min-feature {min_feature:.6g} needs a scale beyond the float range")
 
 
-@dataclass(frozen=True)
-class AxisContact:
+class AxisContact(NamedTuple):
     """Contact audit for one axis pair of seed faces."""
 
     axis: str
@@ -305,8 +359,9 @@ class AxisContact:
     unmatched_minus: tuple[tuple[float, float, float], ...]
 
 
-@dataclass(frozen=True)
-class ContactReport:
+class ContactReport(NamedTuple):
+    """The contact audits of the three axes, x, y and z."""
+
     axes: tuple[AxisContact, ...]
 
     @property
@@ -371,9 +426,9 @@ def orbit_cloud(seed: Mesh) -> np.ndarray:
     Raises ValueError when two kept points lie within ``2 * DEFAULT_TOL``,
     where the guard of ``verify`` would refuse the cloud as ill-posed."""
     stacked = np.concatenate([unprojected_part_points(seed, g) for g in Q8_ELEMENTS])
-    cloud = stacked[_dedup(stacked, DEFAULT_TOL)]
-    _well_posed_tol(cloud, DEFAULT_TOL)
-    return cloud
+    kept, separation = _dedup(stacked, DEFAULT_TOL)
+    _check_separation(DEFAULT_TOL, separation)
+    return stacked[kept]
 
 
 def demo_seed() -> Mesh:

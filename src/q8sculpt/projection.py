@@ -10,11 +10,9 @@ are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .quat import UNIT_NORM_TOL
+from .quat import UNIT_NORM_TOL, Record
 
 #: Minimum allowed distance from a projected point to the pole.
 POLE_PROXIMITY_TOL = 1e-6
@@ -38,15 +36,14 @@ def _hyperplane_basis(p: np.ndarray) -> np.ndarray:
     return np.array(basis)
 
 
-@dataclass(frozen=True, eq=False)
-class Pole:
+class Pole(Record):
     """Unit projection pole with the hyperplane basis derived from it (rows of ``basis``)."""
 
-    p: np.ndarray
-    basis: np.ndarray = field(init=False)
+    __slots__ = ("p", "basis")
+    __match_args__ = ("p",)
 
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=np.float64).copy()
+    def __init__(self, p: np.ndarray) -> None:
+        p = np.asarray(p, dtype=np.float64).copy()
         if p.shape != (4,):
             raise ValueError(f"pole must be a 4-vector, got shape {p.shape}")
         if not np.all(np.isfinite(p)):
@@ -56,8 +53,7 @@ class Pole:
         p.setflags(write=False)
         basis = _hyperplane_basis(p)
         basis.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "basis", basis)
+        self._store(p=p, basis=basis)
 
 
 def default_pole() -> Pole:

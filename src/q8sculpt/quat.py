@@ -18,7 +18,6 @@ Conventions, fixed once here and used by the whole package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,19 +41,68 @@ _PRODUCT = np.array([[sign * np.eye(4, dtype=np.int64)[c] for sign, c in row] fo
 _PRODUCT.setflags(write=False)
 
 
-@dataclass(frozen=True, slots=True)
-class Quaternion:
+class Record:
+    """Base of the package's immutable records.
+
+    A record's ``__init__`` validates its fields and stores them once, with
+    :meth:`_store`; assigning or deleting an attribute afterwards raises
+    AttributeError.  ``__match_args__`` names the fields in the order
+    ``__init__`` takes them, for the repr and for ``match``.  Equality and
+    hashing are by identity; :class:`ValueRecord` compares fields.  Plain
+    classes, because a dataclass compiles generated source for every class
+    at each start.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _store(self, **fields: object) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild a record through __init__, which checks it again
+        return type(self), self._values()
+
+
+class ValueRecord(Record):
+    """A record equal to another of its exact class with equal fields, and
+    hashed by its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Quaternion(ValueRecord):
     """Element of the real quaternions, coordinates (w, x, y, z)."""
 
-    w: float
-    x: float
-    y: float
-    z: float
+    __slots__ = __match_args__ = ("w", "x", "y", "z")
 
-    def __post_init__(self) -> None:
-        for c in (self.w, self.x, self.y, self.z):
+    def __init__(self, w: float, x: float, y: float, z: float) -> None:
+        for c in (w, x, y, z):
             if not math.isfinite(c):
                 raise ValueError(f"quaternion coordinates must be finite, got {c!r}")
+        self._store(w=w, x=x, y=y, z=z)
 
     def magnitude(self) -> float:
         return math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
@@ -76,12 +124,13 @@ class Quaternion:
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
 
-@dataclass(frozen=True, slots=True)
 class UnitQuaternion(Quaternion):
     """Quaternion with magnitude 1; construction rejects anything else."""
 
-    def __post_init__(self) -> None:
-        Quaternion.__post_init__(self)
+    __slots__ = ()
+
+    def __init__(self, w: float, x: float, y: float, z: float) -> None:
+        super().__init__(w, x, y, z)
         if abs(self.magnitude() - 1.0) > UNIT_NORM_TOL:
             raise ValueError(
                 f"unit quaternion magnitude {self.magnitude()!r} is off by more "
@@ -98,22 +147,21 @@ def mul(a: Quaternion, b: Quaternion) -> Quaternion:
     return Quaternion(w, x, y, z)
 
 
-@dataclass(frozen=True, slots=True)
-class Q8Element:
+class Q8Element(ValueRecord):
     """One of the eight group elements +-1, +-i, +-j, +-k.
 
     ``axis`` indexes (1, i, j, k); the embedded quaternion has ``sign`` in
     that coordinate and zeros elsewhere.
     """
 
-    sign: int
-    axis: int
+    __slots__ = __match_args__ = ("sign", "axis")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +-1, got {self.sign!r}")
-        if self.axis not in (0, 1, 2, 3):
-            raise ValueError(f"axis must be 0..3, got {self.axis!r}")
+    def __init__(self, sign: int, axis: int) -> None:
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +-1, got {sign!r}")
+        if axis not in (0, 1, 2, 3):
+            raise ValueError(f"axis must be 0..3, got {axis!r}")
+        self._store(sign=sign, axis=axis)
 
     @property
     def name(self) -> str:
@@ -187,25 +235,24 @@ def q8_order(a: Q8Element) -> int:
     return n
 
 
-@dataclass(frozen=True, eq=False)
-class Isometry4:
+class Isometry4(Record):
     """Orthogonal 4x4 matrix acting on row vectors.
 
     Construction checks only the shape and orthogonality; the orientation is
     a fact of the matrix, read off the sign of its determinant.
     """
 
-    m: np.ndarray
+    __slots__ = __match_args__ = ("m",)
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.m, dtype=np.float64)
+    def __init__(self, m: np.ndarray) -> None:
+        m = np.asarray(m, dtype=np.float64)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.max(np.abs(m @ m.T - np.eye(4))) <= ORTHOGONALITY_TOL:
             raise ValueError("matrix is not orthogonal within tolerance")
         m = m.copy()
         m.setflags(write=False)
-        object.__setattr__(self, "m", m)
+        self._store(m=m)
 
     @property
     def is_orientation_preserving(self) -> bool:
@@ -243,7 +290,7 @@ def integer_isometries(stack: np.ndarray) -> tuple[Isometry4, ...]:
     views = []
     for m in floats:
         iso = object.__new__(Isometry4)
-        object.__setattr__(iso, "m", m)  # checked above, so __post_init__ is skipped
+        iso._store(m=m)  # checked above, so __init__ is skipped
         views.append(iso)
     return tuple(views)
 

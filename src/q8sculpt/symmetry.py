@@ -10,12 +10,11 @@ when it maps the cloud bijectively onto itself within the tolerance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quat import Isometry4, Q8_ELEMENTS, UNIT_NORM_TOL, q8_right_matrix_int
+from .quat import Isometry4, Q8_ELEMENTS, UNIT_NORM_TOL, Record, q8_right_matrix_int
 from .hypercube import candidate_stack, hyperoctahedral_candidates, signed_permutation_matrices
 
 DEFAULT_TOL = 1e-6
@@ -24,14 +23,17 @@ DEFAULT_TOL = 1e-6
 MIRROR_W = np.diag([-1, 1, 1, 1]).astype(np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class PointCloud4:
+#: The Python types ``json`` decodes a JSON number to (a bool is not one).
+_JSON_NUMBERS = frozenset((int, float))
+
+
+class PointCloud4(Record):
     """Finite set of unit 4-vectors standing in for sculpture geometry."""
 
-    points: np.ndarray
+    __slots__ = __match_args__ = ("points",)
 
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64).copy()
+    def __init__(self, points: np.ndarray) -> None:
+        pts = np.asarray(points, dtype=np.float64).copy()
         if pts.ndim != 2 or pts.shape[1] != 4:
             raise ValueError(f"expected an (n, 4) array, got shape {pts.shape}")
         if len(pts) == 0:
@@ -41,24 +43,51 @@ class PointCloud4:
         if not worst <= UNIT_NORM_TOL:
             raise ValueError(f"points must lie on the unit sphere (off by {worst:.3g})")
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        self._store(points=pts)
 
     def __len__(self) -> int:
         return len(self.points)
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "PointCloud4":
+        """The cloud of ``{"points": [[w, x, y, z], ...]}``.  ValueError
+        names the first point that is not an array of JSON numbers."""
         data = json.loads(text)
-        if not isinstance(data, dict) or "points" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("points"), list):
             raise ValueError('cloud JSON must be an object with a "points" array')
-        return cls(np.array(data["points"], dtype=np.float64))
+        points = data["points"]
+        for k, p in enumerate(points):
+            if type(p) is not list or not _JSON_NUMBERS.issuperset(map(type, p)):
+                raise ValueError(f"cloud point {k} is not an array of JSON numbers")
+        return cls(np.array(points, dtype=np.float64))
 
     def to_json(self) -> str:
-        return json.dumps({"points": self.points.tolist()})
+        """``json.dumps({"points": self.points.tolist()})``, byte for byte.
+
+        Float ``repr`` is nearly all of that cost, and a generated cloud
+        holds few distinct magnitudes: right multiplication by an element of
+        Q8 is a signed permutation, so every coordinate is plus or minus one
+        of the lifted seed's.  So each distinct magnitude is formatted once,
+        and the sign read off ``np.signbit``, which keeps -0.0.
+        """
+        flat = self.points.ravel()
+        magnitudes = np.abs(flat)
+        order = np.argsort(magnitudes)
+        ranked = magnitudes[order]
+        first = np.empty(len(ranked), dtype=bool)  # the first of each run of equal magnitudes
+        first[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        texts = [repr(m) for m in ranked[first].tolist()]
+        table = texts + ["-" + t for t in texts]
+        entry = np.empty(len(flat), dtype=np.intp)
+        entry[order] = np.cumsum(first) - 1
+        entry += np.signbit(flat) * len(texts)
+        words = [table[k] for k in entry.tolist()]
+        rows = map(", ".join, zip(*[iter(words)] * 4))
+        return '{"points": [[' + "], [".join(rows) + "]]}"
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     """Surviving candidates plus the headline verdicts."""
 
     candidates_tested: int
@@ -231,18 +260,28 @@ def _carrying(points: np.ndarray, matrices: np.ndarray, tol: float) -> np.ndarra
     return hits[keep]
 
 
-def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of the points greedy dedup keeps: in order, a point is kept
-    unless an already kept point lies within tol.  On a line with points at
-    0, 0.6 tol and 1.2 tol, the first and the third are kept."""
-    i, j = _Index(points, tol).pairs(points, tol)
-    earlier = j < i
+def _dedup(points: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Indices of the points greedy dedup keeps, and the distance of the
+    closest two kept points when within 2 tol (inf otherwise): the
+    separation that :func:`_well_posed_tol` would measure on the kept points.
+
+    Greedy dedup: in order, a point is kept unless an already kept point
+    lies within tol.  On a line with points at 0, 0.6 tol and 1.2 tol, the
+    first and the third are kept.  One index at 2 tol serves both: its pairs
+    within tol, by the index's own distance test, drive the dedup, and its
+    pairs of two kept points give the separation, as
+    :func:`min_pairwise_distance` computes it.
+    """
+    i, j = _Index(points, 2.0 * tol).pairs(points, 2.0 * tol)
+    diff = points[i] - points[j]
+    earlier = (j < i) & (np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= tol)
     keep = np.ones(len(points), dtype=bool)
     # i ascends, so each verdict read here is already final
     for a, b in zip(i[earlier].tolist(), j[earlier].tolist()):
         if keep[b]:
             keep[a] = False
-    return np.flatnonzero(keep)
+    apart = keep[i] & keep[j] & (i != j)
+    return np.flatnonzero(keep), float(np.min(np.linalg.norm(diff[apart], axis=1), initial=np.inf))
 
 
 def match_point_sets(source: np.ndarray, target: np.ndarray, tol: float) -> bool:
@@ -263,13 +302,17 @@ def _well_posed_tol(points: np.ndarray, tol: float) -> _Index:
         raise ValueError("tolerance must be positive")
     _check_resolution(float(np.max(np.abs(points), initial=0.0)), tol)
     index = _Index(points, 2.0 * tol)
-    separation = min_pairwise_distance(index)
+    _check_separation(tol, min_pairwise_distance(index))
+    return index
+
+
+def _check_separation(tol: float, separation: float) -> None:
+    """The guard's verdict: ValueError unless tol < separation / 2."""
     if tol >= 0.5 * separation:
         raise ValueError(
             f"tolerance {tol} is not below half the minimum pairwise distance "
             f"({separation / 2:.3g}); matching would be ill-posed"
         )
-    return index
 
 
 def invariant_under(cloud: PointCloud4, iso: Isometry4, tol: float = DEFAULT_TOL) -> bool:

@@ -439,14 +439,15 @@ for argv in json.loads(sys.argv[1]):
         main(argv)
     except SystemExit:
         pass
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "q8sculpt"))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "q8sculpt", "dataclasses"))))
 """
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
     """`--version`, `--help` and a usage error start without numpy or any
     working module; `verify` loads the symmetry search and nothing of the
-    mesh pipeline or the projection."""
+    mesh pipeline or the projection.  No command but `cayley` loads
+    `dataclasses`, whose classes compile generated source at each start."""
 
     def loaded(*argvs):
         result = subprocess.run(
@@ -466,6 +467,42 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         "q8sculpt.quat",
         "q8sculpt.symmetry",
     ]
+    assert "dataclasses" not in after_verify
+    after_pipeline = loaded(
+        ["check-seed", "--seed", "demo", "--out", str(tmp_path / "seed.json")],
+        ["generate", "--seed", "demo", "--out", str(tmp_path / "obj")],
+        ["generate", "--seed", "demo", "--out", str(tmp_path / "stl"), "--format", "stl"],
+    )
+    assert "q8sculpt.mesh_pipeline" in after_pipeline and "dataclasses" not in after_pipeline
+
+
+@pytest.mark.parametrize("fmt", ["obj", "stl"])
+def test_generate_encodes_the_sculpture_once(tmp_path, monkeypatch, fmt):
+    """The part files are cut from the one encoding of the merged mesh."""
+    calls = []
+
+    def counting(name):
+        writer = getattr(mesh_pipeline, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return writer(*args, **kwargs)
+
+        return counted
+
+    for name in ("write_obj", "write_stl"):
+        monkeypatch.setattr(mesh_pipeline, name, counting(name))
+    assert run(["generate", "--seed", "demo", "--out", str(tmp_path / "o"), "--format", fmt]) == 0
+    assert calls == [f"write_{fmt}"]
+
+
+@pytest.mark.parametrize("points", ['[{"x": 1}]', '[["1", "0", "0", "0"]]', "[[true, 0, 0, 0]]"])
+def test_a_cloud_coordinate_that_is_not_a_number_is_exit_2(tmp_path, capsys, points):
+    cloud = tmp_path / "cloud.json"
+    cloud.write_text(f'{{"points": {points}}}')
+    assert run(["verify", "--cloud", str(cloud)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["q8sculpt: error: input-error: cloud point 0 is not an array of JSON numbers"]
 
 
 @pytest.mark.parametrize(

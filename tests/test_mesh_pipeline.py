@@ -1,17 +1,19 @@
 import json
+import pickle
 import struct
 
 import numpy as np
 import pytest
 
-from q8sculpt import mesh_pipeline
-from q8sculpt.hypercube import contact_transfer_matrix
+from q8sculpt import mesh_pipeline, symmetry
+from q8sculpt.hypercube import contact_transfer_matrix, sixteen_cell
 from q8sculpt.mesh_pipeline import (
     FLOAT32_MAX,
     AxisContact,
     ContactReport,
     Mesh,
     MeshFormatError,
+    SculptureBundle,
     demo_seed,
     face_contact_check,
     feature_stats,
@@ -20,14 +22,22 @@ from q8sculpt.mesh_pipeline import (
     merge_meshes,
     orbit_cloud,
     scale_for_min_feature,
+    sculpture_files,
     transform_mesh,
     unprojected_part_points,
     write_obj,
     write_stl,
 )
 from q8sculpt.projection import PoleProximityError, default_pole, radial_to_s3, stereo_project, stereo_unproject
-from q8sculpt.quat import I, ONE, Q8_ELEMENTS, q8_mul, q8_right_matrix_int, right_mul_matrix
-from q8sculpt.symmetry import DEFAULT_TOL, PointCloud4, _dedup, _well_posed_tol, seed_asymmetry_check
+from q8sculpt.quat import I, ONE, Q8_ELEMENTS, Quaternion, UnitQuaternion, q8_mul, q8_right_matrix_int, right_mul_matrix
+from q8sculpt.symmetry import (
+    DEFAULT_TOL,
+    PointCloud4,
+    _dedup,
+    _well_posed_tol,
+    seed_asymmetry_check,
+    symmetry_group,
+)
 
 TETRA_OBJ = """\
 v 0 0 0
@@ -108,6 +118,44 @@ def test_mesh_validation():
         Mesh(np.zeros((3, 3)), np.array([[0, 1, 3]]))
     with pytest.raises(ValueError):
         Mesh(np.zeros((3, 3)), np.array([[0, 1, 1]]))
+
+
+def test_a_scaled_mesh_shares_its_triangles():
+    mesh = load_obj(TETRA_OBJ)
+    big = mesh.scaled(2.0)
+    assert big.triangles is mesh.triangles
+    assert np.array_equal(big.vertices, 2.0 * mesh.vertices) and not big.vertices.flags.writeable
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        big.scaled(1e308)
+
+
+def test_records_refuse_assignment(demo_mesh):
+    bundle = generate_sculpture(demo_mesh, default_pole(), 1.0)
+    bundle.merged  # cached on first use, and as frozen as the fields after
+    cloud = PointCloud4(orbit_cloud(demo_mesh))
+    contact = face_contact_check(demo_mesh)
+    records = [
+        (Quaternion(1.0, 2.0, 3.0, 4.0), "w"),
+        (UnitQuaternion(0.0, 1.0, 0.0, 0.0), "x"),
+        (I, "axis"),
+        (right_mul_matrix(I), "m"),
+        (default_pole(), "basis"),
+        (sixteen_cell(), "edges"),
+        (cloud, "points"),
+        (symmetry_group(cloud), "chirality"),
+        (demo_mesh, "triangles"),
+        (bundle, "parts"),
+        (bundle, "merged"),
+        (contact.axes[0], "passed"),
+        (contact, "axes"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        again = pickle.loads(pickle.dumps(record))
+        assert type(again) is type(record) and repr(again) == repr(record)
 
 
 def test_stl_layout():
@@ -207,11 +255,26 @@ def test_generate_refuses_scale_beyond_float32(demo_mesh):
             generate_sculpture(demo_mesh, default_pole(), scale)
 
 
-def test_cloud_json_matches_per_coordinate_form(rng):
+def test_cloud_json_matches_per_coordinate_form(rng, sculpture_cloud):
     points = rng.normal(size=(500, 4))
-    cloud = PointCloud4(points / np.linalg.norm(points, axis=1, keepdims=True))
-    old = json.dumps({"points": [[float(c) for c in p] for p in cloud.points]})
-    assert cloud.to_json() == old
+    cells = sixteen_cell().vertices.astype(float)
+    clouds = [
+        points / np.linalg.norm(points, axis=1, keepdims=True),  # no magnitude repeats
+        sculpture_cloud.points,  # each magnitude eight times, with both signs
+        np.copysign(cells, np.where(cells == 0.0, -1.0, cells)),  # every zero is -0.0
+        np.array(
+            [
+                [1.0, 1e-300, -0.0, 0.0],
+                [0.5, -0.5, 0.5, -0.5],
+                [0.6, -0.8, 0.0, -0.0],
+                [-0.6, 0.0, 0.8, 1 / 3 * 1e-200],
+            ]
+        ),
+    ]
+    for points in clouds:
+        cloud = PointCloud4(points)
+        old = json.dumps({"points": [[float(c) for c in p] for p in cloud.points]})
+        assert cloud.to_json() == old
 
 
 def test_transform_mesh_composition():
@@ -277,6 +340,44 @@ def test_a_bundle_merges_only_when_asked(random_seed_mesh, monkeypatch):
     assert bundle.merged is bundle.merged
     assert big.merged.n_vertices == 8 * random_seed_mesh.n_vertices
     assert calls == [8, 8]
+
+
+def noisy_height_field(grid, seed):
+    """grid x grid samples of z = 0.5 sin 3x cos 2y plus noise in [-0.05, 0.05]."""
+    axis = np.linspace(-0.9, 0.9, grid)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    z = 0.5 * np.sin(3 * x) * np.cos(2 * y) + np.random.default_rng(seed).uniform(-0.05, 0.05, size=x.shape)
+    a = (np.arange(grid - 1)[:, None] * grid + np.arange(grid - 1)).ravel()
+    triangles = np.concatenate([np.stack([a, a + grid, a + 1], 1), np.stack([a + 1, a + grid, a + grid + 1], 1)])
+    return Mesh(np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1), triangles)
+
+
+@pytest.mark.parametrize("case", ["demo", "random", "height-field", "rescaled"])
+def test_part_files_are_cut_from_the_merged_file(case, demo_mesh, random_seed_mesh):
+    seed = {"demo": demo_mesh, "random": random_seed_mesh}.get(case) or noisy_height_field(7, 3)
+    bundle = generate_sculpture(seed, default_pole(), 1.0)
+    if case == "rescaled":
+        bundle = bundle.scaled(scale_for_min_feature(bundle.merged, 0.8))
+    for fmt in ("obj", "stl"):
+        parts, merged = sculpture_files(bundle, fmt)
+        assert list(parts) == list(bundle.parts)
+        if fmt == "obj":
+            assert merged == reference_write_obj(bundle.merged, ["q8sculpt merged sculpture"])
+            for g, mesh in bundle.parts.items():
+                assert parts[g] == reference_write_obj(mesh, [f"q8sculpt part, element {g.name}"])
+        else:
+            assert merged == reference_write_stl(bundle.merged)
+            for g, mesh in bundle.parts.items():
+                assert parts[g] == reference_write_stl(mesh)
+
+
+def test_obj_part_files_need_shared_triangles():
+    mesh = load_obj(TETRA_OBJ)
+    bundle = SculptureBundle({ONE: mesh, I: Mesh(mesh.vertices, mesh.triangles[::-1])})
+    with pytest.raises(ValueError, match="same triangles"):
+        sculpture_files(bundle, "obj")
+    parts, _ = sculpture_files(bundle, "stl")
+    assert [parts[ONE], parts[I]] == [reference_write_stl(m) for m in bundle.parts.values()]
 
 
 def test_generate_is_deterministic(random_seed_mesh):
@@ -468,7 +569,7 @@ def per_axis_face_contact_check(seed, tol):
         coords = seed.vertices[:, axis]
         plus = seed.vertices[np.abs(coords - 1.0) <= tol]
         minus = seed.vertices[np.abs(coords + 1.0) <= tol]
-        plus, minus = plus[_dedup(plus, tol)], minus[_dedup(minus, tol)]
+        plus, minus = plus[_dedup(plus, tol)[0]], minus[_dedup(minus, tol)[0]]
         if len(plus) == 0 or len(minus) == 0:
             axes.append(AxisContact(letter, False, len(plus), len(minus), (), ()))
             continue
@@ -565,8 +666,22 @@ def test_orbit_cloud_equals_one_lift_times_each_element(random_seed_mesh, demo_m
     for seed in (demo_mesh, random_seed_mesh):
         lifted = radial_to_s3(seed.vertices)
         stacked = np.concatenate([lifted @ q8_right_matrix_int(g) for g in Q8_ELEMENTS])
-        expected = stacked[_dedup(stacked, DEFAULT_TOL)]
+        expected = stacked[_dedup(stacked, DEFAULT_TOL)[0]]
         assert np.array_equal(orbit_cloud(seed), expected)
+
+
+def test_orbit_cloud_builds_one_index(random_seed_mesh, monkeypatch):
+    """The dedup and the guard share one index over the stacked images."""
+    radii = []
+
+    class Counting(symmetry._Index):
+        def __init__(self, target, r):
+            radii.append(r)
+            super().__init__(target, r)
+
+    monkeypatch.setattr(symmetry, "_Index", Counting)
+    orbit_cloud(random_seed_mesh)
+    assert radii == [2 * DEFAULT_TOL]
 
 
 def test_merge_meshes_offsets():

@@ -229,7 +229,9 @@ def test_pairs_within_refuses_float_resolution():
 def test_dedup_keeps_first_of_a_chain():
     tol = 1e-3
     line = np.array([[0.0, 0.0, 0.0], [0.6 * tol, 0.0, 0.0], [1.2 * tol, 0.0, 0.0]])
-    assert _dedup(line, tol).tolist() == [0, 2]
+    kept, separation = _dedup(line, tol)
+    assert kept.tolist() == [0, 2]
+    assert separation == np.linalg.norm(line[2] - line[0])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -238,7 +240,10 @@ def test_dedup_matches_brute_force(seed):
     centers = gen.uniform(-1.0, 1.0, size=(25, 3))
     points = centers[gen.integers(25, size=150)] + gen.normal(scale=0.03, size=(150, 3))
     for tol in (0.01, 0.05, 0.2):
-        assert _dedup(points, tol).tolist() == brute_dedup(points, tol)
+        kept, separation = _dedup(points, tol)
+        assert kept.tolist() == brute_dedup(points, tol)
+        # the guard's separation, as an index of its own over the kept points measures it
+        assert separation == symmetry.min_pairwise_distance(symmetry._Index(points[kept], 2 * tol))
 
 
 @pytest.mark.parametrize(

@@ -253,3 +253,15 @@ def test_operators_are_the_products():
     for a in Q8_ELEMENTS:
         for b in Q8_ELEMENTS:
             assert a * b == q8_mul(a, b)
+
+
+def test_quaternion_records_compare_by_value():
+    q = Quaternion(w=1.0, x=0.0, y=0.0, z=0.0)
+    assert q == Quaternion(1.0, 0.0, 0.0, 0.0) and hash(q) == hash(Quaternion(1.0, 0.0, 0.0, 0.0))
+    assert q != UnitQuaternion(1.0, 0.0, 0.0, 0.0)  # equal only within one exact class
+    assert Q8Element(sign=1, axis=1) == I and len({I, Q8Element(1, 1), J}) == 2
+    m = np.eye(4)
+    assert Isometry4(m) != Isometry4(m)  # a record holding an array compares by identity
+    for record, field in ((q, "w"), (UnitQuaternion(0.0, 1.0, 0.0, 0.0), "x"), (I, "sign")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)

@@ -200,6 +200,25 @@ def test_cloud_json_round_trip(sculpture_cloud):
         PointCloud4.from_json(json.dumps({"nope": []}))
 
 
+@pytest.mark.parametrize(
+    "points, bad",
+    [
+        ([{"x": 1}], 0),
+        ([["1", "0", "0", "0"]], 0),
+        ([[1, 0, 0, 0], [True, 0, 0, 0]], 1),
+        ([[1, 0, 0, 0], [0, 1, 0, None]], 1),
+        ([1, 0, 0, 0], 0),
+    ],
+)
+def test_cloud_json_coordinates_are_json_numbers(points, bad):
+    with pytest.raises(ValueError, match=f"^cloud point {bad} is not an array of JSON numbers$"):
+        PointCloud4.from_json(json.dumps({"points": points}))
+    assert PointCloud4.from_json('{"points": [[1, 0, 0, 0], [0.0, -1, 0, 0]]}').points.tolist() == [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 0.0],
+    ]
+
+
 def test_report_json_shape(sculpture_report):
     payload = json.loads(sculpture_report.to_json())
     assert payload["candidates_tested"] == 384
