@@ -59,11 +59,18 @@ def _parse_pole(text: str | None) -> Pole:
     vec = np.array([float(p) for p in parts], dtype=np.float64)
     if not np.all(np.isfinite(vec)):
         raise ValueError("pole coordinates must be finite")
-    norm = float(np.linalg.norm(vec))
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if norm in (0.0, np.inf) and np.any(vec):
+        # the square overflowed or underflowed: vec / max |vec| has a norm in [1, 2]
+        scale = float(np.max(np.abs(vec)))
+        vec = vec / scale
+        norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ValueError("pole cannot be the zero vector")
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        _warn(f"pole normalized, adjustment {abs(norm - 1.0):.3g}")
+    if abs(scale * norm - 1.0) > UNIT_NORM_TOL:  # inf when the norm lies beyond the float range
+        _warn(f"pole normalized, adjustment {abs(scale * norm - 1.0):.3g}")
         vec = vec / norm
     return Pole(vec)
 
@@ -156,7 +163,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         "cloud_file": cloud_name,
         "cloud_points": len(cloud),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(f"wrote {len(bundle.parts) + 3} files to {out_dir}")
     return EXIT_OK
 
@@ -183,14 +190,14 @@ def _cmd_check_seed(args: argparse.Namespace) -> int:
 
     tol = args.tol or DEFAULT_TOL  # a given --tol is > 0
     seed = _load_seed(args.seed)
+    contact = face_contact_check(seed, tol)  # first: it checks the seed's domain before the tolerance
     asymmetric = seed_asymmetry_check(seed.vertices, tol)
-    contact = face_contact_check(seed, tol)
     report = {
         "asymmetric": asymmetric,
         "contact": contact.to_dict(),
         "passed": asymmetric and contact.passed,
     }
-    _emit(args.out, json.dumps(report, indent=2, sort_keys=True))
+    _emit(args.out, json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     if report["passed"]:
         return EXIT_OK
     if not asymmetric:
@@ -212,7 +219,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from .mesh_pipeline import feature_stats
 
     seed = _load_seed(args.seed)
-    _emit(args.out, json.dumps(feature_stats(seed), indent=2, sort_keys=True))
+    _emit(args.out, json.dumps(feature_stats(seed), indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

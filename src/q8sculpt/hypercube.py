@@ -10,7 +10,8 @@ The module holds the cell centers (the vertices of the 16-cell), the map a
 gluing induces between opposite faces of the seed cube, and the search
 universe of the symmetry detector: the signed permutations of the four
 coordinates, exactly the isometries of R^4 preserving the cell
-decomposition, of which the eight right multiplications are a subgroup.
+decomposition, of which the eight right multiplications are a subgroup,
+and the double cosets of that subgroup in it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .quat import Isometry4, Q8_ELEMENTS, Record, integer_isometries, q8_right_matrix_int
+from .quat import I, J, Isometry4, Q8_ELEMENTS, Record, integer_isometries, q8_right_matrix_int
 
 
 def _quarter_turn(axis: int) -> np.ndarray:
@@ -95,6 +96,44 @@ def candidate_stack() -> tuple[np.ndarray, np.ndarray]:
     matrices.setflags(write=False)
     preserving.setflags(write=False)
     return matrices, preserving
+
+
+def _codes(m: np.ndarray) -> np.ndarray:
+    """Balanced-ternary code of each (..., 4, 4) matrix with entries in {-1, 0, 1},
+    first entry most significant: injective, and sorting as the entry lists do."""
+    return m.reshape(*m.shape[:-2], 16) @ 3 ** np.arange(15, -1, -1)
+
+
+@functools.cache
+def q8_double_cosets() -> tuple[np.ndarray, np.ndarray]:
+    """The double cosets R(Q8) c R(Q8) of the candidates of :func:`candidate_stack`.
+
+    Returns two read-only index arrays into the stack: for each candidate,
+    the first candidate of its double coset, and the right multiplications
+    by i and j, which generate R(Q8).  The 384 candidates fall into 30
+    double cosets, 24 of 8 and 6 of 32; the identity's is R(Q8).  Labels
+    start as the candidates' own indices and take the least label of their
+    products with the generators, on either side, until none changes.
+    """
+    matrices, _ = candidate_stack()
+    codes = _codes(matrices)
+    order = np.argsort(codes)
+
+    def positions(stack: np.ndarray) -> np.ndarray:
+        return order[np.searchsorted(codes, _codes(stack), sorter=order)]
+
+    generators = [q8_right_matrix_int(g).astype(np.int8) for g in (I, J)]
+    products = np.stack([positions(p) for g in generators for p in (g @ matrices, matrices @ g)])
+    first = np.arange(len(matrices))
+    while True:
+        least = np.minimum(first, np.min(first[products], axis=0))
+        if np.array_equal(least, first):
+            break
+        first = least
+    at_generators = positions(np.stack(generators))
+    first.setflags(write=False)
+    at_generators.setflags(write=False)
+    return first, at_generators
 
 
 @functools.cache

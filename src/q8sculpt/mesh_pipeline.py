@@ -61,14 +61,21 @@ class Mesh(Record):
         t.setflags(write=False)
         self._store(vertices=v, triangles=t)
 
+    @classmethod
+    def _checked(cls, vertices: np.ndarray, triangles: np.ndarray) -> "Mesh":
+        """The mesh of arrays that already meet every check of ``__init__``,
+        which it takes over, unchecked."""
+        vertices.setflags(write=False)
+        triangles.setflags(write=False)
+        mesh = object.__new__(cls)
+        mesh._store(vertices=vertices, triangles=triangles)
+        return mesh
+
     def _with_vertices(self, vertices: np.ndarray) -> "Mesh":
         """The mesh of these new (n, 3) vertices, which it takes over, on the
         same, already checked, triangles: only finiteness is checked."""
         _check_finite(vertices)
-        vertices.setflags(write=False)
-        mesh = object.__new__(type(self))
-        mesh._store(vertices=vertices, triangles=self.triangles)
-        return mesh
+        return self._checked(vertices, self.triangles)
 
     @property
     def n_vertices(self) -> int:
@@ -289,6 +296,10 @@ class SculptureBundle(Record):
 
 
 def merge_meshes(meshes: Sequence[Mesh]) -> Mesh:
+    """The meshes side by side, each one's triangles offset past the
+    vertices before it.  Each part was checked, and an offset keeps its
+    triangles in range and their indices distinct, so nothing is checked
+    again."""
     vertices = []
     triangles = []
     offset = 0
@@ -296,7 +307,7 @@ def merge_meshes(meshes: Sequence[Mesh]) -> Mesh:
         vertices.append(mesh.vertices)
         triangles.append(mesh.triangles + offset)
         offset += mesh.n_vertices
-    return Mesh(np.concatenate(vertices), np.concatenate(triangles))
+    return Mesh._checked(np.concatenate(vertices), np.concatenate(triangles))
 
 
 def generate_sculpture(seed: Mesh, pole: Pole, scale: float = 1.0) -> SculptureBundle:
@@ -310,21 +321,33 @@ def feature_stats(mesh: Mesh) -> dict[str, float]:
     """Minimum and maximum triangle edge length, and their ratio.
 
     Raises ValueError when an edge has zero length (coincident vertices, or
-    a scale so small that the edge underflows), where the ratio is undefined.
+    a scale so small that the edge underflows), where the ratio is undefined,
+    and when the longest edge or the ratio lies beyond the float range.  An
+    edge whose squared length overflows is measured again with ``np.hypot``.
     """
     if mesh.n_triangles == 0:
         raise ValueError("feature statistics need a non-empty mesh")
     tri = mesh.vertices[mesh.triangles]
-    edges = np.concatenate(
-        [tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2]]
-    )
-    lengths = np.linalg.norm(edges, axis=1)
+    with np.errstate(over="ignore"):  # an overflow is measured again, or refused, below
+        edges = np.concatenate(
+            [tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2]]
+        )
+        lengths = np.linalg.norm(edges, axis=1)
+        overflowed = np.isinf(lengths)
+        lengths[overflowed] = np.hypot.reduce(edges[overflowed], axis=1)
     min_edge = float(np.min(lengths))
     max_edge = float(np.max(lengths))
     if min_edge == 0.0:
         shortest = int(np.argmin(lengths)) % mesh.n_triangles
         raise ValueError(f"triangle {shortest} has a zero-length edge")
-    return {"min_edge": min_edge, "max_edge": max_edge, "ratio": max_edge / min_edge}
+    ratio = max_edge / min_edge
+    if ratio == math.inf:
+        longest = int(np.argmax(lengths)) % mesh.n_triangles
+        raise ValueError(
+            f"triangle {longest} has an edge {max_edge:.3g} long, {min_edge:.3g} the shortest: "
+            "their ratio lies beyond the float range"
+        )
+    return {"min_edge": min_edge, "max_edge": max_edge, "ratio": ratio}
 
 
 def scale_for_min_feature(merged: Mesh, min_feature: float) -> float:

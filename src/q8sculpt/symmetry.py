@@ -5,6 +5,29 @@ precisely the isometries preserving the hypercube's cell decomposition.  The
 search over them is exact and fast, but they are not all of O(4): symmetries
 outside them go unseen.  Matching is tolerance-based: a candidate survives
 when it maps the cloud bijectively onto itself within the tolerance.
+
+The search runs modulo the group it certifies.  Let miss(g) be the largest
+distance from an image point to its partner (inf when g pairs no
+bijection).  Right multiplications are isometries, so
+miss(r1 h r2) <= miss(r1) + miss(h) + miss(r2), and as h = r1^-1 g r2^-1
+the bound runs both ways.  When i and j both send point 0 within tol of a
+point, as any symmetry does, they are matched in full; with m the larger
+of their misses, every right multiplication by Q8 is a word of at most two
+of them, so it misses by at most 2m, and every candidate of the double
+coset R(Q8) h R(Q8) within miss(h) + 4m of h's.  So, as long as rho
+below stays within the guard index's radius 2 tol, R(Q8) survives, and
+of the 29 other double cosets of the 384 candidates one representative
+each is matched, at rho = (tol + 4m)(1 + 2**-40), unless it sends point 0
+nowhere within rho of a point: its whole coset survives when it pairs a
+bijection with miss(h) <= tol (1 - 2**-40) - 4m, and is out when some
+point has no partner within rho; any other coset is matched member by
+member at tol.  The relative margin 2**-40 dwarfs the few ulps by which a
+computed distance moves when a candidate permutes coordinates
+(tol > 2**-50, so underflow cannot reach it either), and the survivors are
+exactly those of matching each candidate on its own.  When i or j fails
+the point-0 test or is no symmetry, or rho would exceed the guard index's
+radius 2 tol, each candidate is its own coset, and the full matches of i
+and j count as theirs: a cloud without R(Q8) costs no full match more.
 """
 
 from __future__ import annotations
@@ -15,7 +38,13 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .quat import Isometry4, Q8_ELEMENTS, UNIT_NORM_TOL, Record, q8_right_matrix_int
-from .hypercube import candidate_stack, hyperoctahedral_candidates, signed_permutation_matrices
+from .hypercube import (
+    _codes,
+    candidate_stack,
+    hyperoctahedral_candidates,
+    q8_double_cosets,
+    signed_permutation_matrices,
+)
 
 DEFAULT_TOL = 1e-6
 
@@ -51,15 +80,29 @@ class PointCloud4(Record):
     @classmethod
     def from_json(cls, text: str | bytes) -> "PointCloud4":
         """The cloud of ``{"points": [[w, x, y, z], ...]}``.  ValueError
-        names the first point that is not an array of JSON numbers."""
-        data = json.loads(text)
+        names the first point that is not an array of JSON numbers, or
+        that holds an integer beyond the float range, and refuses JSON
+        nested too deeply to decode."""
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("cloud JSON is nested too deeply to decode") from None
         if not isinstance(data, dict) or not isinstance(data.get("points"), list):
             raise ValueError('cloud JSON must be an object with a "points" array')
         points = data["points"]
         for k, p in enumerate(points):
             if type(p) is not list or not _JSON_NUMBERS.issuperset(map(type, p)):
                 raise ValueError(f"cloud point {k} is not an array of JSON numbers")
-        return cls(np.array(points, dtype=np.float64))
+        try:
+            array = np.array(points, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range: name its point
+            for k, p in enumerate(points):
+                try:
+                    list(map(float, p))
+                except OverflowError:
+                    raise ValueError(f"cloud point {k} has a coordinate beyond the float range") from None
+            raise
+        return cls(array)
 
     def to_json(self) -> str:
         """``json.dumps({"points": self.points.tolist()})``, byte for byte.
@@ -120,12 +163,6 @@ _MATRIX_JSON = (
     + ",\n".join("      [\n" + ",\n".join(f"        {{{4 * r + c}}}" for c in range(4)) + "\n      ]" for r in range(4))
     + "\n    ]"
 )
-
-
-def _codes(m: np.ndarray) -> np.ndarray:
-    """Balanced-ternary code of each (..., 4, 4) matrix with entries in {-1, 0, 1},
-    first entry most significant: injective, and sorting as the entry lists do."""
-    return m.reshape(*m.shape[:-2], 16) @ 3 ** np.arange(15, -1, -1)
 
 
 #: Candidate pairs the proximity kernel tests per block, and image points
@@ -199,7 +236,8 @@ class _Index:
 
     def blocks(self, source: np.ndarray, r: float):
         """Every pair (i, j) with ||source[i] - target[j]|| <= r, i ascending,
-        in blocks of at most about ``_BLOCK`` candidates each."""
+        and its distance, in blocks of at most about ``_BLOCK`` candidates
+        each."""
         if not r <= self.r:
             raise ValueError(f"query radius {r:.3g} exceeds the index's build radius {self.r:.3g}")
         source = np.asarray(source, dtype=np.float64)
@@ -216,48 +254,104 @@ class _Index:
             i = np.repeat(np.arange(lo, hi), c)
             j = self.owner[np.repeat(start[lo:hi] - np.cumsum(c) + c, c) + np.arange(c.sum())]
             diff = source[i] - self.target[j]
-            near = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= r
-            yield i[near], j[near]
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            near = dist <= r
+            yield i[near], j[near], dist[near]
 
     def pairs(self, source: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-        i, j = zip(*self.blocks(source, r))
+        i, j, _ = zip(*self.blocks(source, r))
         return np.concatenate(i), np.concatenate(j)
 
-    def bijective(self, images: np.ndarray, r: float) -> np.ndarray:
-        """Which point sets of a (k, n, d) stack map bijectively onto the
-        guarded target within r."""
+    def nearest(self, source: np.ndarray) -> np.ndarray:
+        """For each source point, the distance to its nearest target within
+        the build radius, or inf: one query answers the test at every
+        radius up to it, by the same computed distances."""
+        best = np.full(len(source), np.inf)
+        for i, _, dist in self.blocks(source, self.r):
+            np.minimum.at(best, i, dist)
+        return best
+
+    def misses(self, images: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """For each point set of a (k, n, d) stack, matched onto the guarded
+        target within r: its miss, the largest paired distance, or inf when
+        the pairs are not a bijection; and whether some point of it has no
+        target within r."""
         k, n = images.shape[:2]
-        i, j = self.pairs(images.reshape(k * n, images.shape[2]), r)
+        i, j, dist = map(np.concatenate, zip(*self.blocks(images.reshape(k * n, images.shape[2]), r)))
         per_source = np.bincount(i, minlength=k * n).reshape(k, n)
         per_target = np.bincount(i // n * len(self.target) + j, minlength=k * len(self.target))
-        return np.all(per_source == 1, axis=1) & np.all(per_target.reshape(k, -1) == 1, axis=1)
+        bijective = np.all(per_source == 1, axis=1) & np.all(per_target.reshape(k, -1) == 1, axis=1)
+        paired = np.zeros(k * n)
+        paired[i] = dist
+        miss = np.where(bijective, np.max(paired.reshape(k, n), axis=1, initial=0.0), np.inf)
+        return miss, np.any(per_source == 0, axis=1)
 
 
 def min_pairwise_distance(index: _Index) -> float:
     """Distance of the closest two distinct target points of the index, when
     at most its build radius apart; inf otherwise (and for one point)."""
     best = float("inf")
-    for i, j in index.blocks(index.target, index.r):
+    for i, j, _ in index.blocks(index.target, index.r):
         gaps = np.linalg.norm(index.target[i[i != j]] - index.target[j[i != j]], axis=1)
         best = float(np.min(gaps, initial=best))
     return best
 
 
-def _carrying(points: np.ndarray, matrices: np.ndarray, tol: float) -> np.ndarray:
+#: Relative margin of the double-coset rule: far more than the few ulps by
+#: which a computed distance moves when a candidate permutes coordinates.
+_MARGIN = 2.0**-40
+
+
+def _match(index: _Index, points: np.ndarray, matrices: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`_Index.misses` of the images of the points under each matrix,
+    in chunks of about ``_BLOCK`` points."""
+    miss, stray = np.empty(len(matrices)), np.empty(len(matrices), dtype=bool)
+    step = _BLOCK // len(points) + 1
+    for lo in range(0, len(matrices), step):
+        miss[lo : lo + step], stray[lo : lo + step] = index.misses(points @ matrices[lo : lo + step], r)
+    return miss, stray
+
+
+def _carrying(
+    points: np.ndarray, matrices: np.ndarray, tol: float, cosets: Optional[tuple[np.ndarray, np.ndarray]] = None
+) -> np.ndarray:
     """The indices, ascending, of the matrices that carry the points
     bijectively onto themselves within tol, after the guard.
 
     Such a matrix sends point 0 within tol of a point; that test runs for
     every matrix at once, and only the hits are matched in full, against
-    the guard's index, in chunks of about ``_BLOCK`` points.
+    the guard's index, in chunks of about ``_BLOCK`` points.  ``cosets`` is
+    :func:`~q8sculpt.hypercube.q8_double_cosets` when the matrices are the
+    384 candidates.  When both generators of R(Q8) are hits, they are
+    matched first, and when they carry the points closely enough each
+    double coset is decided through its first matrix, by the rule of the
+    module docstring.  Otherwise the search goes on with the matches
+    already made: a cloud without R(Q8) costs no more full matches than
+    without ``cosets``.
     """
     index = _well_posed_tol(points, tol)
-    hits = np.flatnonzero(np.bincount(index.pairs(points[0] @ matrices, tol)[0], minlength=len(matrices)))
-    keep = np.zeros(len(hits), dtype=bool)
-    step = _BLOCK // len(points) + 1
-    for lo in range(0, len(hits), step):
-        keep[lo : lo + step] = index.bijective(points @ matrices[hits[lo : lo + step]], tol)
-    return hits[keep]
+    near = index.nearest(points[0] @ matrices)
+    keep, todo = np.zeros(len(matrices), dtype=bool), near <= tol
+    if cosets is not None and np.all(todo[cosets[1]]):
+        first, generators = cosets
+        miss = _match(index, points, matrices[generators], tol)[0]
+        keep[generators], todo[generators] = np.isfinite(miss), False
+        m = float(np.max(miss))
+        reach = (tol + 4.0 * m) * (1.0 + _MARGIN)
+        if reach <= index.r:
+            # R(Q8), the generators' double coset, misses by at most 2m
+            q8 = first[generators[0]]
+            reps = np.flatnonzero((first == np.arange(len(first))) & (first != q8))
+            reps = reps[near[reps] <= reach]
+            miss, stray = _match(index, points, matrices[reps], reach)
+            accepted, undecided = np.zeros(len(matrices), dtype=bool), np.zeros(len(matrices), dtype=bool)
+            accepted[q8] = True
+            accepted[reps] = miss <= tol * (1.0 - _MARGIN) - 4.0 * m
+            undecided[reps] = ~accepted[reps] & ~stray
+            keep, todo = accepted[first], undecided[first]
+    each = np.flatnonzero(todo)
+    keep[each] = np.isfinite(_match(index, points, matrices[each], tol)[0])
+    return np.flatnonzero(keep)
 
 
 def _dedup(points: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
@@ -292,7 +386,7 @@ def match_point_sets(source: np.ndarray, target: np.ndarray, tol: float) -> bool
     lie within 2*tol, where the matching would be ambiguous.
     """
     index = _well_posed_tol(target, tol)
-    return bool(index.bijective(np.asarray(source, dtype=np.float64)[None], tol)[0])
+    return bool(np.isfinite(index.misses(np.asarray(source, dtype=np.float64)[None], tol)[0][0]))
 
 
 def _well_posed_tol(points: np.ndarray, tol: float) -> _Index:
@@ -322,7 +416,7 @@ def invariant_under(cloud: PointCloud4, iso: Isometry4, tol: float = DEFAULT_TOL
 
 def surviving_candidates(cloud: PointCloud4, tol: float = DEFAULT_TOL) -> list[Isometry4]:
     """Filter the 384-candidate universe down to the cloud's symmetries."""
-    kept = _carrying(cloud.points, candidate_stack()[0], tol)
+    kept = _carrying(cloud.points, candidate_stack()[0], tol, q8_double_cosets())
     candidates = hyperoctahedral_candidates()
     return [candidates[k] for k in kept]
 

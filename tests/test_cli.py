@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -503,6 +505,78 @@ def test_a_cloud_coordinate_that_is_not_a_number_is_exit_2(tmp_path, capsys, poi
     assert run(["verify", "--cloud", str(cloud)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["q8sculpt: error: input-error: cloud point 0 is not an array of JSON numbers"]
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"points": ' + "[" * 100_000 + "]" * 100_000 + "}", "cloud JSON is nested too deeply to decode"),
+        ('{"points": [[1' + "0" * 400 + ", 0, 0, 0]]}", "cloud point 0 has a coordinate beyond the float range"),
+        (
+            '{"points": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1' + "0" * 400 + ", 0]]}",
+            "cloud point 2 has a coordinate beyond the float range",
+        ),
+    ],
+    ids=["nested-100000-deep", "401-digit-integer", "401-digit-integer-in-point-2"],
+)
+def test_a_cloud_json_beyond_the_decoder_is_exit_2(tmp_path, capsys, text, reason):
+    cloud = tmp_path / "cloud.json"
+    cloud.write_text(text)
+    assert run(["verify", "--cloud", str(cloud)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"q8sculpt: error: input-error: {reason}"]
+
+
+def _far_vertex_seed(tmp_path):
+    """The demo seed with vertex 0 moved to (1e308, 0, 0)."""
+    demo = demo_seed()
+    vertices = demo.vertices.copy()
+    vertices[0] = [1e308, 0.0, 0.0]
+    seed_path = tmp_path / "far.obj"
+    seed_path.write_bytes(write_obj(Mesh(vertices, demo.triangles)))
+    return str(seed_path)
+
+
+def test_stats_on_a_vertex_at_1e308_is_exit_2_with_no_infinity(tmp_path, capsys):
+    out = tmp_path / "stats.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["stats", "--seed", _far_vertex_seed(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "q8sculpt: error: input-error: triangle 0 has an edge 1e+308 long, 0.354 the shortest: "
+        "their ratio lies beyond the float range"
+    ]
+    assert not out.exists()
+
+
+def test_check_seed_names_a_vertex_outside_the_cube_before_the_tolerance(tmp_path, capsys):
+    assert run(["check-seed", "--seed", _far_vertex_seed(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "q8sculpt: error: input-error: seed vertex 0 lies outside the cube [-1,1]^3 by 1e+308"
+    ]
+
+
+_HALF = [math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "pole, adjustment, direction",
+    [
+        ("1e308,1e308,0,0", "1.41e+308", _HALF),
+        ("1.5e308,1.5e308,0,0", "inf", _HALF),  # the norm itself lies beyond the float range
+        ("1e308,1e308,1e308,1e308", "inf", [0.5] * 4),
+        ("1e-170,1e-170,0,0", "1", _HALF),
+    ],
+)
+def test_a_pole_whose_square_overflows_or_underflows_is_normalized(tmp_path, capsys, pole, adjustment, direction):
+    """Each pole is a valid direction: one warning line, no numpy warning,
+    and the pole of the unit direction."""
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["generate", "--seed", "demo", "--out", str(out), "--pole", pole]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"q8sculpt: warning: pole normalized, adjustment {adjustment}"]
+    normalized = json.loads((out / "manifest.json").read_text())["pole"]
+    assert normalized == pytest.approx(direction, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize(

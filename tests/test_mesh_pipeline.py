@@ -1,6 +1,8 @@
 import json
+import math
 import pickle
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -427,6 +429,25 @@ def test_feature_stats_refuses_zero_length_edges(demo_mesh):
         feature_stats(generate_sculpture(demo_mesh, default_pole(), 1e-300).merged)  # underflows
 
 
+def test_feature_stats_measure_long_edges_without_overflow():
+    """An edge whose squared length overflows is measured exactly; a ratio or
+    an edge beyond the float range is refused, with no numpy warning."""
+    far = Mesh(np.array([[1e300, 0.0, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 0.0]]), np.array([[0, 1, 2]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert feature_stats(far) == {"min_edge": 1e300, "max_edge": math.hypot(1e300, 1e300), "ratio": math.sqrt(2)}
+        beyond = Mesh(np.array([[1e308, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]), np.array([[0, 1, 2]]))
+        with pytest.raises(ValueError, match=r"^triangle 0 has an edge 1e\+308 long, 0.5 the shortest: their ratio"):
+            feature_stats(beyond)
+        overflowing = Mesh(np.array([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([[0, 1, 2]]))
+        with pytest.raises(ValueError, match=r"^triangle 0 has an edge inf long"):
+            feature_stats(overflowing)
+        # finite differences whose length lies beyond the float range
+        beyond_range = Mesh(np.array([[1.5e308, 1.5e308, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([[0, 1, 2]]))
+        with pytest.raises(ValueError, match=r"^triangle 0 has an edge inf long"):
+            feature_stats(beyond_range)
+
+
 def test_feature_stats_scale_linearity(random_seed_mesh):
     stats = feature_stats(random_seed_mesh)
     scaled = feature_stats(random_seed_mesh.scaled(3.5))
@@ -689,3 +710,19 @@ def test_merge_meshes_offsets():
     merged = merge_meshes([a, a])
     assert merged.n_vertices == 8
     assert merged.triangles[4:].min() == 4
+
+
+def test_merge_meshes_checks_its_checked_parts_no_further(monkeypatch, random_seed_mesh):
+    parts = list(generate_sculpture(random_seed_mesh, default_pole(), 1.0).parts.values())
+    expected = Mesh(np.concatenate([m.vertices for m in parts]), np.concatenate([m.triangles + 40 * k for k, m in enumerate(parts)]))
+
+    def refuse(*args):
+        raise AssertionError("merged triangles checked again")
+
+    monkeypatch.setattr(Mesh, "__init__", refuse)
+    monkeypatch.setattr(mesh_pipeline, "_check_finite", refuse)
+    merged = merge_meshes(parts)
+    assert merged.vertices.dtype == np.float64 and merged.triangles.dtype == np.int64
+    assert np.array_equal(merged.vertices, expected.vertices)
+    assert np.array_equal(merged.triangles, expected.triangles)
+    assert not merged.vertices.flags.writeable and not merged.triangles.flags.writeable

@@ -142,12 +142,17 @@ def test_one_index_serves_many_sources(dim):
         i, j = index.pairs(source, r)
         assert np.all(np.diff(i) >= 0)
         assert sorted(zip(i, j)) == brute_pairs(source, target, r)
-    # the bijection verdicts of one stacked query, against the brute-force matcher
+    # the misses of one stacked query, against the brute-force matcher
     spread = gen.uniform(-2.0, 2.0, size=(40, dim)) * 3.0
-    images = np.stack([spread[gen.permutation(40)] + gen.normal(scale=s, size=(40, dim)) for s in (0, 0.05, 0.5, 2)])
+    images = np.stack(
+        [spread[gen.permutation(40)] + gen.normal(scale=s, size=(40, dim)) for s in (0, 0.01, 0.05, 0.5, 2)]
+    )
     images[0, 0] = images[0, 1]  # a duplicated source point
-    spread_index = symmetry._Index(spread, r)
-    assert spread_index.bijective(images, r).tolist() == [brute_bijection(im, spread, r) for im in images]
+    miss, stray = symmetry._Index(spread, r).misses(images, r)
+    assert np.isfinite(miss).tolist() == [brute_bijection(im, spread, r) for im in images] == [0, 1, 1, 0, 0]
+    dist = np.linalg.norm(images[:, :, None, :] - spread[None, None, :, :], axis=-1)
+    assert stray.tolist() == np.any(np.all(dist > r, axis=2), axis=1).tolist() == [0, 0, 0, 1, 1]
+    assert miss[1:3] == pytest.approx(np.max(np.min(dist[1:3], axis=2), axis=1), rel=1e-15)
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -160,6 +165,12 @@ def test_an_index_answers_every_radius_up_to_its_own(dim):
         i, j = index.pairs(source, r)
         assert np.all(np.diff(i) >= 0)
         assert sorted(zip(i, j)) == brute_pairs(source, target, r)
+        # one nearest-distance query decides the pair test at every radius
+        assert np.flatnonzero(index.nearest(source) <= r).tolist() == sorted(set(i.tolist()))
+    dist = np.min(np.linalg.norm(source[:, None, :] - target[None, :, :], axis=-1), axis=1)
+    nearest = index.nearest(source)
+    assert np.isinf(nearest).tolist() == (dist > 0.6).tolist()
+    assert nearest[dist <= 0.6] == pytest.approx(dist[dist <= 0.6], rel=1e-15)
     # the exactness proof covers radii up to the build radius only
     for r in (np.nextafter(0.6, 1.0), 1.2, np.nan):
         with pytest.raises(ValueError, match="exceeds the index's build radius"):

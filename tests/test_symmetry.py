@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from q8sculpt import symmetry
+from q8sculpt.blocks import block_seed, standard_block
 from q8sculpt.hypercube import (
     candidate_stack,
     hyperoctahedral_candidates,
+    q8_double_cosets,
     q8_right_isometries,
     signed_permutation_matrices,
     sixteen_cell,
@@ -15,7 +17,9 @@ from q8sculpt.hypercube import (
 from q8sculpt.mesh_pipeline import Mesh, demo_seed, face_contact_check, orbit_cloud
 from q8sculpt.projection import radial_to_s3
 from q8sculpt.quat import (
+    I,
     Isometry4,
+    J,
     Q8_ELEMENTS,
     UnitQuaternion,
     left_mul_matrix,
@@ -443,3 +447,213 @@ def test_a_mirror_symmetric_seed_can_still_give_exactly_q8(r):
     assert len(report.symmetries) == 8
     assert report.is_exactly_q8
     assert report.chirality == "metachiral"
+
+
+def test_the_double_cosets_of_the_right_multiplications():
+    """30 double cosets, 24 of 8 and 6 of 32; each candidate's label is the
+    least index of its double coset, computed here from all 64 products."""
+    matrices = candidate_stack()[0].astype(np.int64)
+    first, generators = q8_double_cosets()
+    q8 = np.stack([q8_right_matrix_int(g) for g in Q8_ELEMENTS])
+    index = {m.tobytes(): k for k, m in enumerate(matrices)}
+    for c, m in enumerate(matrices):
+        coset = {index[(r1 @ m @ r2).tobytes()] for r1 in q8 for r2 in q8}
+        assert first[c] == min(coset)
+    reps = np.flatnonzero(first == np.arange(384))
+    assert len(reps) == 30
+    assert sorted(np.bincount(first)[reps].tolist()) == [8] * 24 + [32] * 6
+    assert sorted(matrices[first == 0].tolist()) == sorted(q8.tolist())
+    assert matrices[generators].tolist() == [q8_right_matrix_int(I).tolist(), q8_right_matrix_int(J).tolist()]
+    assert not first.flags.writeable and not generators.flags.writeable
+
+
+def _one_match_per_candidate(points, tol):
+    """Reference: the indices of the candidates that match_point_sets
+    accepts, each matched on its own."""
+    return [k for k, m in enumerate(candidate_stack()[0]) if match_point_sets(points @ m, points, tol)]
+
+
+def _search(points, tol):
+    return [c.key() for c in surviving_candidates(PointCloud4(points), tol)]
+
+
+def _agrees_with_the_reference(points, tol=1e-6):
+    candidates = hyperoctahedral_candidates()
+    assert _search(points, tol) == [candidates[k].key() for k in _one_match_per_candidate(points, tol)]
+
+
+def _jittered_q8_orbits(seed):
+    """The Q8-orbits of one to five random unit points, each point then
+    moved by about tol / 24 at the default tolerance: i and j miss by
+    0.07 to 0.11 tol, so the search runs modulo Q8 with a miss above 0."""
+    gen = np.random.default_rng(seed)
+    base = gen.normal(size=(gen.integers(1, 6), 4))
+    q8 = np.stack([q8_right_matrix_int(g) for g in Q8_ELEMENTS])
+    points = np.concatenate(base / np.linalg.norm(base, axis=1, keepdims=True) @ q8)
+    points += gen.normal(scale=1e-6 / 48, size=points.shape)
+    return points / np.linalg.norm(points, axis=1, keepdims=True)
+
+
+def _noisy_cloud():
+    """The cloud of test_detection_tolerates_bounded_noise."""
+    gen = np.random.default_rng(99)
+    points = orbit_cloud(Mesh(gen.uniform(-0.9, 0.9, size=(20, 3)), np.array([[0, 1, 2]])))
+    points = points + gen.normal(scale=3e-9, size=points.shape)
+    return points / np.linalg.norm(points, axis=1, keepdims=True)
+
+
+def _undecided_cloud(tol=1e-6):
+    """The 384 images of a random unit point p, with the Q8-orbit of p moved
+    by 0.97 tol and every point by about tol / 50.  R(Q8) misses by about
+    tol / 20, and every candidate outside it by about tol: inside the band
+    where a representative decides nothing, so each is matched on its own,
+    and some survive while others in their double coset do not."""
+    gen = np.random.default_rng(3)
+    matrices = candidate_stack()[0]
+    p = gen.normal(size=4)
+    p /= np.linalg.norm(p)
+    shift = gen.normal(size=4)
+    shift -= (shift @ p) * p
+    moved = p + 0.97 * tol * shift / np.linalg.norm(shift)
+    in_q8 = q8_double_cosets()[0] == 0
+    points = np.concatenate([p @ matrices[~in_q8], moved / np.linalg.norm(moved) @ matrices[in_q8]])
+    points += gen.normal(scale=tol / 100, size=points.shape)
+    return points / np.linalg.norm(points, axis=1, keepdims=True)
+
+
+def _cloud(vertices):
+    """The orbit cloud of a seed with these vertices."""
+    return orbit_cloud(Mesh(vertices, np.array([[0, 1, 2]])))
+
+
+def _cube_orbit(seed):
+    """The orbit cloud of the 48 images of one point, 0.1 <= a < b < c <= 0.8
+    apart by at least 0.1, under the cube's signed permutations: all 384
+    candidates survive."""
+    gen = np.random.default_rng(seed)
+    point = np.array([gen.uniform(0.10, 0.25), gen.uniform(0.35, 0.50), gen.uniform(0.60, 0.80)])
+    return _cloud(point @ signed_permutation_matrices(3))
+
+
+def _random_seed_cloud(seed):
+    """The orbit cloud of 24 random points: exactly Q8."""
+    return _cloud(np.random.default_rng(seed).uniform(-0.9, 0.9, size=(24, 3)))
+
+
+def _height_field_cloud(seed):
+    """The orbit cloud of a 5 x 5 sampled height field with seeded noise:
+    exactly Q8."""
+    x, y = np.meshgrid(np.linspace(-0.9, 0.9, 5), np.linspace(-0.9, 0.9, 5), indexing="ij")
+    z = 0.5 * np.sin(3 * x) * np.cos(2 * y) + np.random.default_rng(seed).uniform(-0.05, 0.05, size=x.shape)
+    return _cloud(np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1))
+
+
+_MIRROR_POINTS = np.random.default_rng(5).uniform(-0.9, 0.9, (10, 3))
+
+_CLOUDS = {
+    "demo": lambda: orbit_cloud(demo_seed()),
+    **{f"cube-orbit-{seed}": (lambda seed=seed: _cube_orbit(seed)) for seed in (1, 2, 3)},
+    **{f"random-seed-{seed}": (lambda seed=seed: _random_seed_cloud(seed)) for seed in (1, 2, 3)},
+    **{f"height-field-{seed}": (lambda seed=seed: _height_field_cloud(seed)) for seed in (1, 2, 3)},
+    "sixteen-cell": lambda: sixteen_cell().vertices.astype(float),
+    "block": lambda: orbit_cloud(block_seed(standard_block())),
+    **{
+        f"mirror-{k}": (
+            lambda r=r: orbit_cloud(Mesh(np.concatenate([_MIRROR_POINTS, _MIRROR_POINTS @ r]), np.array([[0, 1, 2]])))
+        )
+        for k, r in enumerate(_CUBE_REFLECTIONS)
+    },
+    "noisy": lambda: _noisy_cloud(),
+    **{f"jittered-orbits-{seed}": (lambda seed=seed: _jittered_q8_orbits(seed)) for seed in range(8)},
+    "undecided": lambda: _undecided_cloud(),
+}
+
+
+@pytest.mark.parametrize(
+    "name, tol",
+    [(name, 1e-6) for name in _CLOUDS]
+    # where i and j miss by more than tol / 4: each candidate is its own coset
+    + [(name, 1e-10) for name in _CLOUDS if name.startswith(("noisy", "jittered", "undecided"))],
+)
+def test_the_search_modulo_q8_agrees_with_one_match_per_candidate(name, tol):
+    _agrees_with_the_reference(_CLOUDS[name](), tol)
+
+
+def test_the_search_modulo_q8_agrees_on_the_turned_seeds(turned_seed):
+    _agrees_with_the_reference(orbit_cloud(turned_seed[0]))
+
+
+def _count_full_matches(monkeypatch):
+    """A list that gets, per call of ``_Index.misses``, the number of point
+    sets it matches in full."""
+    counted = []
+    misses = symmetry._Index.misses
+
+    def counting(index, images, r):
+        counted.append(len(images))
+        return misses(index, images, r)
+
+    monkeypatch.setattr(symmetry._Index, "misses", counting)
+    return counted
+
+
+@pytest.mark.parametrize(
+    "name, survivors, full_matches, one_per_candidate",
+    [("cube-orbit-1", 384, 31, 384), ("random-seed-1", 8, 2, 8), ("height-field-1", 8, 3, 16), ("demo", 8, 2, 8)],
+)
+def test_one_full_match_per_double_coset(name, survivors, full_matches, one_per_candidate, monkeypatch):
+    """Two full matches certify R(Q8); then each of the 29 other double
+    cosets needs at most one, where matching each candidate that passes the
+    point-0 test on its own needs one per such candidate."""
+    points = _CLOUDS[name]()
+    counted = _count_full_matches(monkeypatch)
+    assert len(surviving_candidates(PointCloud4(points))) == survivors
+    assert sum(counted) == full_matches
+    counted.clear()
+    assert len(symmetry._carrying(points, candidate_stack()[0], 1e-6)) == survivors
+    assert sum(counted) == one_per_candidate
+
+
+def _turned_off_q8(seed):
+    """The random-seed cloud under a random rotation of R^4: only the
+    identity and -1 among the candidates keep it."""
+    turn = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))[0]
+    return _random_seed_cloud(seed) @ turn
+
+
+def _orbit_and_strays(seed):
+    """The Q8-orbit of a random unit point, first, then 20 random unit
+    points: i and j carry point 0 onto a point, but the cloud not onto
+    itself."""
+    gen = np.random.default_rng(seed)
+    points = gen.normal(size=(21, 4))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    q8 = np.stack([q8_right_matrix_int(g) for g in Q8_ELEMENTS])
+    return np.concatenate([points[0] @ q8, points[1:]])
+
+
+@pytest.mark.parametrize("points", [_turned_off_q8(1), _turned_off_q8(2), _orbit_and_strays(1), _orbit_and_strays(2)])
+def test_a_cloud_without_the_right_multiplications_costs_no_extra_full_match(points, monkeypatch):
+    """Where i or j is no symmetry, the search with the double cosets makes
+    exactly the full matches of the search without them."""
+    counted = _count_full_matches(monkeypatch)
+    plain = symmetry._carrying(points, candidate_stack()[0], 1e-6)
+    without = sum(counted)
+    counted.clear()
+    modulo = symmetry._carrying(points, candidate_stack()[0], 1e-6, q8_double_cosets())
+    assert sum(counted) == without
+    assert modulo.tolist() == plain.tolist() == _one_match_per_candidate(points, 1e-6)
+    assert not set(q8_double_cosets()[1]) & set(plain)
+
+
+def test_a_representative_in_the_undecided_band_is_matched_member_by_member(monkeypatch):
+    points = _undecided_cloud()
+    counted = _count_full_matches(monkeypatch)
+    survivors = symmetry._carrying(points, candidate_stack()[0], 1e-6, q8_double_cosets())
+    assert sum(counted) == 2 + 29 + 376  # the generators, the representatives, then every member but R(Q8)
+    first = q8_double_cosets()[0]
+    kept = np.zeros(384, dtype=bool)
+    kept[survivors] = True
+    mixed = [c for c in np.unique(first) if 0 < np.count_nonzero(kept[first == c]) < np.count_nonzero(first == c)]
+    assert mixed  # some double coset is split: no representative could have decided it
+    assert survivors.tolist() == _one_match_per_candidate(points, 1e-6)
