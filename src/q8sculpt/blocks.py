@@ -29,12 +29,11 @@ hypercube boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quat import Q8Element, Q8_ELEMENTS, GENERATORS, q8_mul
+from .quat import Q8Element, Q8_ELEMENTS, GENERATORS, ValueRecord, q8_mul
 from .hypercube import _quarter_turn, signed_permutation_matrices
 from .mesh_pipeline import Mesh, orbit_cloud
 
@@ -79,36 +78,34 @@ _TURN_OF_ARROW = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class FaceDecoration:
+class FaceDecoration(ValueRecord):
     """Motif, chirality and quarter-turn orientation on one cube face."""
 
-    motif: str
-    chirality: str
-    turn: int
+    __slots__ = __match_args__ = ("motif", "chirality", "turn")
 
-    def __post_init__(self) -> None:
-        if self.motif not in MOTIFS:
-            raise ValueError(f"unknown motif {self.motif!r}")
-        if self.chirality not in CHIRALITIES:
-            raise ValueError(f"unknown chirality {self.chirality!r}")
-        if self.turn not in (0, 1, 2, 3):
-            raise ValueError(f"turn must be 0..3, got {self.turn!r}")
+    def __init__(self, motif: str, chirality: str, turn: int) -> None:
+        if motif not in MOTIFS:
+            raise ValueError(f"unknown motif {motif!r}")
+        if chirality not in CHIRALITIES:
+            raise ValueError(f"unknown chirality {chirality!r}")
+        if turn not in (0, 1, 2, 3):
+            raise ValueError(f"turn must be 0..3, got {turn!r}")
+        self._store(motif=motif, chirality=chirality, turn=turn)
 
     def mirrored(self) -> "FaceDecoration":
         other = "left" if self.chirality == "right" else "right"
         return FaceDecoration(self.motif, other, self.turn)
 
 
-@dataclass(frozen=True)
-class DecoratedBlock:
+class DecoratedBlock(ValueRecord):
     """A cube with one decoration per face, keyed by (axis, sign)."""
 
-    faces: dict[tuple[int, int], FaceDecoration]
+    __slots__ = __match_args__ = ("faces",)
 
-    def __post_init__(self) -> None:
-        if set(self.faces) != set(FACES):
+    def __init__(self, faces: dict[tuple[int, int], FaceDecoration]) -> None:
+        if set(faces) != set(FACES):
             raise ValueError("a block needs exactly the six cube faces")
+        self._store(faces=faces)
 
     def face(self, axis: int, sign: int) -> FaceDecoration:
         return self.faces[(axis, sign)]
@@ -180,8 +177,7 @@ def block_symmetries(block: DecoratedBlock) -> list[np.ndarray]:
 # lines and rings
 
 
-@dataclass(frozen=True)
-class LineReport:
+class LineReport(NamedTuple):
     """Outcome of verifying a line or ring of placed blocks."""
 
     ok: bool
@@ -258,8 +254,7 @@ def _frame(face: tuple[int, int], turn: int) -> np.ndarray:
     return frame
 
 
-@dataclass(frozen=True)
-class HypercubeAssembly:
+class HypercubeAssembly(NamedTuple):
     """A block placed in every cell by cell transport, plus the match audit:
     the local axes whose eight shared squares fail to match."""
 
@@ -333,8 +328,7 @@ def decoration_cloud(assembly: HypercubeAssembly) -> np.ndarray:
 # the labelled-cell graph
 
 
-@dataclass(frozen=True)
-class CayleyGraph:
+class CayleyGraph(NamedTuple):
     """Directed graph on the eight labels with one arc per generator."""
 
     nodes: tuple[Q8Element, ...]

@@ -245,7 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="transform a seed mesh into the eight-part sculpture")
     gen.add_argument("--seed", required=True, help="seed OBJ path, or 'demo' for the built-in seed")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--pole", default=None, help="projection pole as four comma-separated reals")
+    gen.add_argument(
+        "--pole",
+        default=None,
+        help="projection pole as four comma-separated reals; "
+        "write --pole=-0.5,0.5,0.5,0.5 when the first is negative",
+    )
     gen.add_argument("--scale", type=_positive, default=None, help="explicit uniform scale")
     gen.add_argument(
         "--min-feature",

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
-from .quat import I, J, Isometry4, Q8_ELEMENTS, Record, integer_isometries, q8_right_matrix_int
+from .quat import I, J, Isometry4, Q8_ELEMENTS, q8_right_matrix_int
 
 
 def _quarter_turn(axis: int) -> np.ndarray:
@@ -50,15 +51,13 @@ def contact_transfer_matrix(axis: int) -> np.ndarray:
     return reflect @ _quarter_turn(axis)
 
 
-class SixteenCell(Record):
+class SixteenCell(NamedTuple):
     """Vertices and edges of the dual polytope of the hypercube: ``vertices``
     the (8, 4) signed standard basis vectors, ``edges`` the 24 pairs of
     vertex indices that are not antipodal."""
 
-    __slots__ = __match_args__ = ("vertices", "edges")
-
-    def __init__(self, vertices: np.ndarray, edges: tuple[tuple[int, int], ...]) -> None:
-        self._store(vertices=vertices, edges=edges)
+    vertices: np.ndarray
+    edges: tuple[tuple[int, int], ...]
 
 
 def sixteen_cell() -> SixteenCell:
@@ -138,7 +137,10 @@ def q8_double_cosets() -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _candidate_tuple() -> tuple[Isometry4, ...]:
-    return integer_isometries(candidate_stack()[0])
+    floats = candidate_stack()[0].astype(np.float64)
+    floats.setflags(write=False)
+    # signed permutation matrices are orthogonal by construction
+    return tuple(Isometry4._trusted(m=m) for m in floats)
 
 
 def hyperoctahedral_candidates() -> list[Isometry4]:
@@ -147,9 +149,8 @@ def hyperoctahedral_candidates() -> list[Isometry4]:
     These are the signed permutations of the four coordinates; the universe
     searched by the brute-force symmetry detector.  Contains the eight
     right-multiplication matrices of the group.  The isometries are built on
-    the first call, with one orthogonality check over the stack, and shared
-    (they are frozen, with read-only matrices); each call returns a fresh
-    list.
+    the first call, as views of one read-only float copy of
+    :func:`candidate_stack`, and shared; each call returns a fresh list.
     """
     return list(_candidate_tuple())
 

@@ -67,9 +67,7 @@ class Mesh(Record):
         which it takes over, unchecked."""
         vertices.setflags(write=False)
         triangles.setflags(write=False)
-        mesh = object.__new__(cls)
-        mesh._store(vertices=vertices, triangles=triangles)
-        return mesh
+        return cls._trusted(vertices=vertices, triangles=triangles)
 
     def _with_vertices(self, vertices: np.ndarray) -> "Mesh":
         """The mesh of these new (n, 3) vertices, which it takes over, on the
@@ -100,10 +98,12 @@ def load_obj(data: bytes | str) -> Mesh:
     """Parse OBJ text: v records and (polygonal) f records, fan-triangulated.
 
     Indices are 1-based and must be positive; face tokens may carry /vt/vn
-    suffixes, which are ignored.  Unknown record types are skipped.
+    suffixes, which are ignored.  Unknown record types are skipped.  Text is
+    UTF-8; a leading byte-order mark is ignored.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
+    data = data.removeprefix("\ufeff")
     vertices: list[list[float]] = []
     faces: list[tuple[int, list[int]]] = []
     for lineno, raw in enumerate(data.splitlines(), start=1):

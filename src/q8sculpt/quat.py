@@ -50,11 +50,20 @@ class Record:
     ``__init__`` takes them, for the repr and for ``match``.  Equality and
     hashing are by identity; :class:`ValueRecord` compares fields.  Plain
     classes, because a dataclass compiles generated source for every class
-    at each start.
+    at each start; a result that checks nothing is a ``NamedTuple``.
+    :meth:`_trusted` skips ``__init__``: its caller vouches that the fields
+    pass every check there, in the form it stores (arrays read-only).
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    @classmethod
+    def _trusted(cls, **fields: object):
+        """The record of these fields, stored as given, unchecked."""
+        record = object.__new__(cls)
+        record._store(**fields)
+        return record
 
     def _store(self, **fields: object) -> None:
         for name, value in fields.items():
@@ -268,31 +277,6 @@ class Isometry4(Record):
 
     def key(self) -> tuple[int, ...]:
         return matrix_key(self.m)
-
-
-def integer_isometries(stack: np.ndarray) -> tuple[Isometry4, ...]:
-    """One :class:`Isometry4` per matrix of a (k, 4, 4) integer stack, with
-    one exact orthogonality check over the whole stack in place of k checks.
-
-    The check m m^T == I is exact: the entries are integers, and float64
-    holds their products and sums exactly wherever the result could equal I.
-    The isometries' matrices are views of one read-only float64 copy of the
-    stack.  ValueError names the first matrix that is not orthogonal.
-    """
-    stack = np.asarray(stack)
-    if not np.issubdtype(stack.dtype, np.integer) or stack.ndim != 3 or stack.shape[1:] != (4, 4):
-        raise ValueError(f"expected a (k, 4, 4) integer stack, got {stack.dtype} {stack.shape}")
-    floats = stack.astype(np.float64)
-    bad = np.flatnonzero(np.any(floats @ floats.transpose(0, 2, 1) != np.eye(4), axis=(1, 2)))
-    if len(bad):
-        raise ValueError(f"matrix {int(bad[0])} of the stack is not orthogonal")
-    floats.setflags(write=False)
-    views = []
-    for m in floats:
-        iso = object.__new__(Isometry4)
-        iso._store(m=m)  # checked above, so __init__ is skipped
-        views.append(iso)
-    return tuple(views)
 
 
 def matrix_key(m: np.ndarray) -> tuple[int, ...]:

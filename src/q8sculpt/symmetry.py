@@ -289,11 +289,14 @@ class _Index:
 
 def min_pairwise_distance(index: _Index) -> float:
     """Distance of the closest two distinct target points of the index, when
-    at most its build radius apart; inf otherwise (and for one point)."""
+    at most its build radius apart; inf otherwise (and for one point).
+    Stops at the first block with two coincident points: nothing is closer."""
     best = float("inf")
     for i, j, _ in index.blocks(index.target, index.r):
         gaps = np.linalg.norm(index.target[i[i != j]] - index.target[j[i != j]], axis=1)
         best = float(np.min(gaps, initial=best))
+        if best == 0.0:
+            break
     return best
 
 

@@ -10,7 +10,19 @@ import pytest
 from q8sculpt import mesh_pipeline
 from q8sculpt.cli import main
 from q8sculpt.hypercube import contact_transfer_matrix, sixteen_cell
-from q8sculpt.mesh_pipeline import load_obj, merge_meshes, write_obj, Mesh, demo_seed, face_contact_check
+from q8sculpt.mesh_pipeline import (
+    FLOAT32_MAX,
+    SEED_DOMAIN_TOL,
+    Mesh,
+    demo_seed,
+    face_contact_check,
+    feature_stats,
+    generate_sculpture,
+    load_obj,
+    merge_meshes,
+    write_obj,
+)
+from q8sculpt.projection import POLE_PROXIMITY_TOL, default_pole, radial_to_s3
 from q8sculpt.symmetry import PointCloud4
 
 
@@ -448,8 +460,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "
 def test_each_command_loads_only_what_it_runs(tmp_path):
     """`--version`, `--help` and a usage error start without numpy or any
     working module; `verify` loads the symmetry search and nothing of the
-    mesh pipeline or the projection.  No command but `cayley` loads
-    `dataclasses`, whose classes compile generated source at each start."""
+    mesh pipeline or the projection.  No command loads `dataclasses`, whose
+    classes compile generated source at each start."""
 
     def loaded(*argvs):
         result = subprocess.run(
@@ -476,6 +488,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         ["generate", "--seed", "demo", "--out", str(tmp_path / "stl"), "--format", "stl"],
     )
     assert "q8sculpt.mesh_pipeline" in after_pipeline and "dataclasses" not in after_pipeline
+    after_cayley = loaded(["cayley", "--out", str(tmp_path / "q8.dot")])
+    assert "q8sculpt.blocks" in after_cayley and "dataclasses" not in after_cayley
 
 
 @pytest.mark.parametrize("fmt", ["obj", "stl"])
@@ -701,3 +715,156 @@ def test_decorated_block_is_a_seed(tmp_path, capsys):
     assert report["is_exactly_q8"] is True
     assert report["chirality"] == "metachiral"
     assert capsys.readouterr().err == ""
+
+
+def test_a_pole_with_a_negative_first_coordinate_is_passed_with_equals(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["generate", "--seed", "demo", "--out", str(out), "--pole=-0.5,0.5,0.5,0.5"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["pole"] == [-0.5, 0.5, 0.5, 0.5]
+    assert capsys.readouterr().err == ""
+    # without "=", argparse reads the value as a flag
+    with pytest.raises(SystemExit, match="2"):
+        run(["generate", "--seed", "demo", "--out", str(out), "--pole", "-0.5,0.5,0.5,0.5"])
+    assert capsys.readouterr().err == "q8sculpt: error: input-error: argument --pole: expected one argument\n"
+
+
+def test_stats_reads_a_seed_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.obj", tmp_path / "marked.obj"
+    plain.write_bytes(write_obj(demo_seed()))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert run(["stats", "--seed", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert run(["stats", "--seed", str(marked)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# --- each threshold, from just inside to just outside ------------------------
+
+
+def _seed_obj(tmp_path, vertices):
+    """An OBJ of the demo seed's triangles on these vertices, at repr precision."""
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in vertices.tolist()]
+    lines += [f"f {a} {b} {c}" for a, b, c in (demo_seed().triangles + 1).tolist()]
+    path = tmp_path / "seed.obj"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _check_seed_with_neighbour(gap):
+    """check-seed on the demo seed plus a vertex ``gap`` from anchor 0."""
+
+    def argv(tmp_path):
+        vertices = demo_seed().vertices
+        return ["check-seed", "--seed", _seed_obj(tmp_path, np.vstack([vertices, vertices[0] + [gap, 0, 0]]))]
+
+    return argv
+
+
+def _check_seed_with_contact_at(x):
+    """check-seed on the demo seed with its first +x face contact moved to this x."""
+
+    def argv(tmp_path):
+        vertices = demo_seed().vertices.copy()
+        vertices[3, 0] = x
+        return ["check-seed", "--seed", _seed_obj(tmp_path, vertices)]
+
+    return argv
+
+
+def _verify_sixteen_cell(tol):
+    """verify on the 16-cell, whose separation is sqrt(2), at this tolerance."""
+
+    def argv(tmp_path):
+        cloud = tmp_path / "cloud.json"
+        cloud.write_text(PointCloud4(sixteen_cell().vertices.astype(float)).to_json())
+        return ["verify", "--cloud", str(cloud), "--tol", repr(tol)]
+
+    return argv
+
+
+def _generate_with_pole_from_vertex_0(chord):
+    """generate on the demo seed, the pole this chordal distance from its lifted vertex 0."""
+
+    def argv(tmp_path):
+        p = radial_to_s3(demo_seed().vertices[0])
+        away = np.array([0.0, 0.0, 0.0, 1.0]) - p[3] * p
+        away /= np.linalg.norm(away)
+        angle = 2.0 * math.asin(chord / 2.0)
+        pole = math.cos(angle) * p + math.sin(angle) * away
+        return ["generate", "--seed", "demo", "--pole=" + ",".join(map(repr, pole.tolist()))]
+
+    return argv
+
+
+def _demo_extent_and_shortest_edge():
+    merged = generate_sculpture(demo_seed(), default_pole()).merged
+    return float(np.max(np.abs(merged.vertices))), feature_stats(merged)["min_edge"]
+
+
+def _generate_at_scale(fmt, of_threshold, factor):
+    """generate on the demo seed at ``factor`` times the scale that puts the
+    sculpture's extent at the float32 maximum, or its shortest edge at the
+    smallest normal float32."""
+
+    def argv(tmp_path):
+        extent, shortest = _demo_extent_and_shortest_edge()
+        scale = FLOAT32_MAX / extent if of_threshold == "max" else float(np.finfo(np.float32).tiny) / shortest
+        return ["generate", "--seed", "demo", "--format", fmt, "--scale", repr(scale * factor)]
+
+    return argv
+
+
+def _generate_with_min_feature(factor):
+    """generate on the demo seed with ``factor`` times the --min-feature
+    whose scale puts the sculpture's extent at the float32 maximum."""
+
+    def argv(tmp_path):
+        extent, shortest = _demo_extent_and_shortest_edge()
+        return ["generate", "--seed", "demo", "--min-feature", repr(FLOAT32_MAX / extent * shortest * factor)]
+
+    return argv
+
+
+_HALF_SQRT2 = 0.5 * math.sqrt(2.0)
+
+_THRESHOLDS = {
+    "verify-tol-below-half-separation": (_verify_sixteen_cell(math.nextafter(_HALF_SQRT2, 0.0)), 1),
+    "verify-tol-at-half-separation": (_verify_sixteen_cell(_HALF_SQRT2), 2),
+    "check-seed-separation-above-2tol": (_check_seed_with_neighbour(2e-6 * (1 + 1e-3)), 0),
+    "check-seed-separation-below-2tol": (_check_seed_with_neighbour(2e-6 * (1 - 1e-3)), 2),
+    "check-seed-contact-within-tol-of-face": (_check_seed_with_contact_at(1.0 - 1e-6 * (1 - 1e-3)), 0),
+    "check-seed-contact-beyond-tol-of-face": (_check_seed_with_contact_at(1.0 - 1e-6 * (1 + 1e-3)), 1),
+    "check-seed-overshoot-within-domain-tol": (_check_seed_with_contact_at(1.0 + SEED_DOMAIN_TOL * (1 - 1e-3)), 0),
+    "check-seed-overshoot-beyond-domain-tol": (_check_seed_with_contact_at(1.0 + SEED_DOMAIN_TOL * (1 + 1e-3)), 2),
+    "generate-pole-beyond-proximity-tol": (_generate_with_pole_from_vertex_0(POLE_PROXIMITY_TOL * (1 + 1e-3)), 0),
+    "generate-pole-within-proximity-tol": (_generate_with_pole_from_vertex_0(POLE_PROXIMITY_TOL * (1 - 1e-3)), 3),
+    "generate-obj-below-float32-max": (_generate_at_scale("obj", "max", 1 - 1e-6), 0),
+    "generate-obj-above-float32-max": (_generate_at_scale("obj", "max", 1 + 1e-6), 2),
+    "generate-stl-below-float32-max": (_generate_at_scale("stl", "max", 1 - 1e-6), 0),
+    "generate-stl-above-float32-max": (_generate_at_scale("stl", "max", 1 + 1e-6), 2),
+    "generate-obj-edge-below-float32-tiny": (_generate_at_scale("obj", "tiny", 1 - 1e-6), 0),
+    "generate-obj-edge-above-float32-tiny": (_generate_at_scale("obj", "tiny", 1 + 1e-6), 0),
+    "generate-stl-edge-below-float32-tiny": (_generate_at_scale("stl", "tiny", 1 - 1e-6), 2),
+    "generate-stl-edge-above-float32-tiny": (_generate_at_scale("stl", "tiny", 1 + 1e-6), 0),
+    "generate-min-feature-below-float32-max": (_generate_with_min_feature(1 - 1e-6), 0),
+    "generate-min-feature-above-float32-max": (_generate_with_min_feature(1 + 1e-6), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_THRESHOLDS))
+def test_each_threshold_keeps_the_command_contract(tmp_path, capsys, name):
+    """Just inside and just outside each threshold, a command exits with a
+    documented code; a failure prints one error line, exit 1 exactly with a
+    verification failure, and every JSON file written is strict JSON."""
+    build, expected = _THRESHOLDS[name]
+    out = tmp_path / "out"
+    code = run([*build(tmp_path), "--out", str(out)])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("q8sculpt: error:")]
+    assert code in (0, 1, 2, 3)
+    assert len(errors) == (code != 0)
+    assert (code == 1) == any(line.startswith("q8sculpt: error: verification-failure:") for line in errors)
+    written = [out] if out.is_file() else sorted(out.glob("*.json"))
+    assert written or code != 0
+    for path in written:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert code == expected

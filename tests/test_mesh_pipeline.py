@@ -80,6 +80,17 @@ def test_load_ignores_other_records():
     assert mesh.n_vertices == 4
 
 
+def test_load_obj_ignores_one_byte_order_mark():
+    plain = load_obj(TETRA_OBJ)
+    for marked in ("\ufeff" + TETRA_OBJ, b"\xef\xbb\xbf" + TETRA_OBJ.encode()):
+        mesh = load_obj(marked)
+        assert np.array_equal(mesh.vertices, plain.vertices)
+        assert np.array_equal(mesh.triangles, plain.triangles)
+    # only one: a second mark is text, which turns the first line into an unknown record
+    with pytest.raises(MeshFormatError, match="line 6: face index out of range"):
+        load_obj("\ufeff\ufeff" + TETRA_OBJ)
+
+
 def test_load_errors_carry_line_numbers():
     with pytest.raises(MeshFormatError, match="line 2"):
         load_obj("v 0 0 0\nv 1 nope 0\n")

@@ -212,6 +212,32 @@ def test_pairs_within_in_small_blocks(monkeypatch):
     assert survivors == brute_survivors(cloud, 1e-6)
 
 
+def test_the_guard_stops_at_the_first_block_with_coincident_points(monkeypatch):
+    """n copies of one point cost the guard one block of pairs, not the
+    n**2 / _BLOCK blocks of every pair, and are refused as before."""
+    consumed = []
+    blocks = symmetry._Index.blocks
+
+    def counted(self, source, r):
+        for block in blocks(self, source, r):
+            consumed.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(symmetry._Index, "blocks", counted)
+    copies = np.tile([1.0, 0.0, 0.0, 0.0], (2000, 1))
+    assert symmetry.min_pairwise_distance(symmetry._Index(copies, 2e-6)) == 0.0
+    assert len(consumed) == 1
+    with pytest.raises(ValueError, match=r"minimum pairwise distance \(0\)"):
+        symmetry_group(PointCloud4(copies))
+    assert len(consumed) == 2
+    # distinct points still get every block scanned
+    consumed.clear()
+    points = np.random.default_rng(2).normal(size=(2000, 4))
+    index = symmetry._Index(points / np.linalg.norm(points, axis=1, keepdims=True), 0.2)
+    assert 0.0 < symmetry.min_pairwise_distance(index) < 0.2
+    assert len(consumed) > 1
+
+
 def test_pairs_within_empty_inputs():
     assert kernel_pairs(np.zeros((0, 3)), np.ones((4, 3)), 0.1) == []
     assert kernel_pairs(np.ones((4, 3)), np.zeros((0, 3)), 0.1) == []
