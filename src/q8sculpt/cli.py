@@ -1,6 +1,9 @@
 """Command-line orchestration: generate sculpture files, verify symmetry,
 check seeds, export the labelled-cell graph, and report feature statistics.
 
+:func:`run` is the process entry (``python -m q8sculpt`` and the console
+script); :func:`main` runs one command in process.
+
 Exit codes: 0 success, 1 verification failure, 2 input/parse error,
 3 pipeline error (a vertex landed on the projection pole).  Every failure
 prints one machine-parsable line on stderr.
@@ -9,6 +12,7 @@ prints one machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -294,5 +298,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
+def run(argv: list[str] | None = None) -> int:
+    """:func:`main` as a whole process: the cyclic collector is off, and the
+    heap is frozen before exit."""
+    # A command builds almost no reference cycles, yet the collector would
+    # walk numpy's import dozens of times and shutdown would walk the whole
+    # heap again; frozen objects are skipped by every later collection.
+    gc.disable()
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -357,6 +357,27 @@ def _carrying(
     return np.flatnonzero(keep)
 
 
+_ROW_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd: multiplying by it is a bijection of uint64
+
+
+def _first_copies(points: np.ndarray) -> np.ndarray | None:
+    """Ascending indices of the first of each set of equal rows, or None
+    when no two rows are equal.  A hash of each row's bits brings equal rows
+    together; where no hash repeats, no two rows are equal."""
+    key = np.zeros(len(points), dtype=np.uint64)
+    for column in points.T:
+        key ^= (column + 0.0).view(np.uint64)  # + 0.0 turns -0.0 into 0.0
+        key *= _ROW_MIX
+        key ^= key >> 29  # else a row and its negation, which differ in bit 63 only, collide
+    if not np.any(np.diff(np.sort(key)) == 0):
+        return None
+    order = np.argsort(key)
+    ordered = points[order]
+    starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
+    firsts = np.sort(np.minimum.reduceat(order, starts))
+    return firsts if len(firsts) < len(points) else None
+
+
 def _dedup(points: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     """Indices of the points greedy dedup keeps, and the distance of the
     closest two kept points when within 2 tol (inf otherwise): the
@@ -368,7 +389,15 @@ def _dedup(points: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     within tol, by the index's own distance test, drive the dedup, and its
     pairs of two kept points give the separation, as
     :func:`min_pairwise_distance` computes it.
+
+    Equal rows are first collapsed to the first of their copies: a later
+    copy is always dropped, by the first copy or by the kept point that
+    dropped it, so only distinct rows reach the index and the loop.
     """
+    firsts = _first_copies(points)
+    if firsts is not None:
+        kept, separation = _dedup(points[firsts], tol)
+        return firsts[kept], separation
     i, j = _Index(points, 2.0 * tol).pairs(points, 2.0 * tol)
     diff = points[i] - points[j]
     earlier = (j < i) & (np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= tol)

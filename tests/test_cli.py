@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import subprocess
@@ -407,6 +408,47 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("digraph")
+
+
+_RUN_PROBE = """
+import gc, json, sys
+from q8sculpt.cli import run
+code = run(["generate", "--seed", "demo", "--out", sys.argv[1]])
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+
+def test_process_entry_runs_without_the_collector(tmp_path):
+    """`run` switches the cyclic collector off and leaves the heap frozen."""
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_PROBE, str(tmp_path / "out")], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    code, enabled, frozen = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    assert enabled is False
+    assert frozen > 0
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["generate", "--seed", "demo", "--out", str(tmp_path)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_module_entry_writes_what_main_writes(tmp_path):
+    process, in_process = tmp_path / "process", tmp_path / "in-process"
+    result = subprocess.run(
+        [sys.executable, "-m", "q8sculpt", "generate", "--seed", "demo", "--out", str(process)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert main(["generate", "--seed", "demo", "--out", str(in_process)]) == 0
+    names = sorted(p.name for p in process.iterdir())
+    assert names == sorted(p.name for p in in_process.iterdir())
+    for name in names:
+        assert (process / name).read_bytes() == (in_process / name).read_bytes(), name
 
 
 _IMPORT_PROBE = """

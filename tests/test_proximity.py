@@ -283,6 +283,40 @@ def test_dedup_matches_brute_force(seed):
         assert separation == symmetry.min_pairwise_distance(symmetry._Index(points[kept], 2 * tol))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_dedup_of_copies_matches_brute_force(seed):
+    """Multisets with bit-equal rows and rows that differ only in the sign of
+    a zero: collapsing the copies first changes no verdict."""
+    gen = np.random.default_rng(seed)
+    centers = gen.uniform(-1.0, 1.0, size=(6, 3))
+    centers[gen.random(centers.shape) < 0.3] = 0.0
+    points = centers[gen.integers(6, size=60)]
+    points[gen.random(60) < 0.3] += gen.normal(scale=0.03, size=(1, 3))
+    points = np.where(gen.random(points.shape) < 0.5, -1.0, 1.0) * points  # signs of the zeros
+    assert np.any(np.signbit(points[points == 0.0])) and not np.all(np.signbit(points[points == 0.0]))
+    for tol in (0.01, 0.05, 0.2):
+        kept, separation = _dedup(points, tol)
+        assert kept.tolist() == brute_dedup(points, tol)
+        assert separation == symmetry.min_pairwise_distance(symmetry._Index(points[kept], 2 * tol))
+
+
+def test_dedup_indexes_only_distinct_rows(monkeypatch):
+    """A seed with 2 000 copies of one vertex: the orbit cloud's dedup builds
+    its index over the 24 distinct points, not over all 16 016."""
+    sizes = []
+    build = symmetry._Index.__init__
+
+    def counting(self, target, r):
+        sizes.append(len(target))
+        build(self, target, r)
+
+    monkeypatch.setattr(symmetry._Index, "__init__", counting)
+    vertices = np.array([[0.1, 0.2, 0.3]] * 2000 + [[0.4, -0.1, 0.2], [-0.3, 0.25, 0.1]])
+    cloud = orbit_cloud(Mesh(vertices, np.array([[0, 2000, 2001]])))
+    assert len(cloud) == 24
+    assert sizes == [24]
+
+
 @pytest.mark.parametrize(
     "points, tol",
     [
