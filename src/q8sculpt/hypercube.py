@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quat import I, J, Isometry4, Q8_ELEMENTS, q8_right_matrix_int
+from .quat import Isometry4, Q8_ELEMENTS, q8_right_matrix_int
 
 
 def _quarter_turn(axis: int) -> np.ndarray:
@@ -110,9 +110,10 @@ def q8_double_cosets() -> tuple[np.ndarray, np.ndarray]:
     Returns two read-only index arrays into the stack: for each candidate,
     the first candidate of its double coset, and the right multiplications
     by i and j, which generate R(Q8).  The 384 candidates fall into 30
-    double cosets, 24 of 8 and 6 of 32; the identity's is R(Q8).  Labels
-    start as the candidates' own indices and take the least label of their
-    products with the generators, on either side, until none changes.
+    double cosets, 24 of 8 and 6 of 32; the identity's, label 0, is R(Q8).
+    A candidate c's label is the least position of its 64 products
+    r_a c r_b, read as R[L[a, c], b] from the positions L[a, c] of r_a c
+    and R[c, b] of c r_b.
     """
     matrices, _ = candidate_stack()
     codes = _codes(matrices)
@@ -121,15 +122,10 @@ def q8_double_cosets() -> tuple[np.ndarray, np.ndarray]:
     def positions(stack: np.ndarray) -> np.ndarray:
         return order[np.searchsorted(codes, _codes(stack), sorter=order)]
 
-    generators = [q8_right_matrix_int(g).astype(np.int8) for g in (I, J)]
-    products = np.stack([positions(p) for g in generators for p in (g @ matrices, matrices @ g)])
-    first = np.arange(len(matrices))
-    while True:
-        least = np.minimum(first, np.min(first[products], axis=0))
-        if np.array_equal(least, first):
-            break
-        first = least
-    at_generators = positions(np.stack(generators))
+    r = np.stack([q8_right_matrix_int(g) for g in Q8_ELEMENTS]).astype(np.int8)
+    L, R = positions(r[:, None] @ matrices), positions(matrices[:, None] @ r)
+    first = np.min(R[L], axis=(0, 2))
+    at_generators = L[[2, 4], 0]  # r_i and r_j (i, j are elements 2, 4) times candidate 0, the identity
     first.setflags(write=False)
     at_generators.setflags(write=False)
     return first, at_generators

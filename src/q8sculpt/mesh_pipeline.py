@@ -143,7 +143,7 @@ def load_obj(data: bytes | str) -> Mesh:
             raise MeshFormatError("face repeats a vertex", lineno)
         for a, b in zip(idx[1:], idx[2:]):
             triangles.append((idx[0], a, b))
-    return Mesh(
+    return Mesh._checked(
         np.array(vertices, dtype=np.float64).reshape(-1, 3),
         np.array(triangles, dtype=np.int64).reshape(-1, 3),
     )
@@ -427,7 +427,7 @@ def face_contact_check(seed: Mesh, tol: float = DEFAULT_TOL) -> ContactReport:
         coords = seed.vertices[:, axis]
         plus = seed.vertices[np.abs(coords - 1.0) <= tol]
         minus = seed.vertices[np.abs(coords + 1.0) <= tol]
-        i, j = _Index(minus, tol).pairs(plus @ contact_transfer_matrix(axis), tol)
+        i, j, _ = _Index(minus, tol).pairs(plus @ contact_transfer_matrix(axis), tol)
         axes.append(
             AxisContact(
                 letter,

@@ -33,11 +33,12 @@ and j count as theirs: a cloud without R(Q8) costs no full match more.
 from __future__ import annotations
 
 import json
+import sys
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quat import Isometry4, Q8_ELEMENTS, UNIT_NORM_TOL, Record, q8_right_matrix_int
+from .quat import Isometry4, UNIT_NORM_TOL, Record
 from .hypercube import (
     _codes,
     candidate_stack,
@@ -80,7 +81,7 @@ class PointCloud4(Record):
     @classmethod
     def from_json(cls, text: str | bytes) -> "PointCloud4":
         """The cloud of ``{"points": [[w, x, y, z], ...]}``.  ValueError
-        names the first point that is not an array of JSON numbers, or
+        names the first point that is not an array of four JSON numbers, or
         that holds an integer beyond the float range, and refuses JSON
         nested too deeply to decode."""
         try:
@@ -91,7 +92,7 @@ class PointCloud4(Record):
             raise ValueError('cloud JSON must be an object with a "points" array')
         points = data["points"]
         for k, p in enumerate(points):
-            if type(p) is not list or not _JSON_NUMBERS.issuperset(map(type, p)):
+            if type(p) is not list or len(p) != 4 or not _JSON_NUMBERS.issuperset(map(type, p)):
                 raise ValueError(f"cloud point {k} is not an array of JSON numbers")
         try:
             array = np.array(points, dtype=np.float64)
@@ -202,7 +203,8 @@ class _Index:
     t / c - 1/2 < q / c < t / c + 1/2, so floor(q / c) is floor(t / c - 1/2)
     or the next cell.  The side c = 2R + (R + max(1, max |target|)) * 2**-40
     exceeds 2R by far more than rounding in the divisions and the distance
-    test can move a point, so this holds for the computed values too.
+    test can move a point, so this holds for the computed values too; when
+    it overflows to inf, every point lies in cell 0 or the one below it.
 
     Float resolution.  A coordinate of size x is only known to within an ulp,
     about max(1, |x|) * 2**-52, and a distance test at a radius of a few ulps
@@ -258,9 +260,9 @@ class _Index:
             near = dist <= r
             yield i[near], j[near], dist[near]
 
-    def pairs(self, source: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-        i, j, _ = zip(*self.blocks(source, r))
-        return np.concatenate(i), np.concatenate(j)
+    def pairs(self, source: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`blocks` in one piece: the arrays i, j and dist."""
+        return tuple(map(np.concatenate, zip(*self.blocks(source, r))))
 
     def nearest(self, source: np.ndarray) -> np.ndarray:
         """For each source point, the distance to its nearest target within
@@ -277,7 +279,7 @@ class _Index:
         the pairs are not a bijection; and whether some point of it has no
         target within r."""
         k, n = images.shape[:2]
-        i, j, dist = map(np.concatenate, zip(*self.blocks(images.reshape(k * n, images.shape[2]), r)))
+        i, j, dist = self.pairs(images.reshape(k * n, images.shape[2]), r)
         per_source = np.bincount(i, minlength=k * n).reshape(k, n)
         per_target = np.bincount(i // n * len(self.target) + j, minlength=k * len(self.target))
         bijective = np.all(per_source == 1, axis=1) & np.all(per_target.reshape(k, -1) == 1, axis=1)
@@ -292,9 +294,8 @@ def min_pairwise_distance(index: _Index) -> float:
     at most its build radius apart; inf otherwise (and for one point).
     Stops at the first block with two coincident points: nothing is closer."""
     best = float("inf")
-    for i, j, _ in index.blocks(index.target, index.r):
-        gaps = np.linalg.norm(index.target[i[i != j]] - index.target[j[i != j]], axis=1)
-        best = float(np.min(gaps, initial=best))
+    for i, j, dist in index.blocks(index.target, index.r):
+        best = float(np.min(dist[i != j], initial=best))
         if best == 0.0:
             break
     return best
@@ -325,12 +326,8 @@ def _carrying(
     every matrix at once, and only the hits are matched in full, against
     the guard's index, in chunks of about ``_BLOCK`` points.  ``cosets`` is
     :func:`~q8sculpt.hypercube.q8_double_cosets` when the matrices are the
-    384 candidates.  When both generators of R(Q8) are hits, they are
-    matched first, and when they carry the points closely enough each
-    double coset is decided through its first matrix, by the rule of the
-    module docstring.  Otherwise the search goes on with the matches
-    already made: a cloud without R(Q8) costs no more full matches than
-    without ``cosets``.
+    384 candidates, and the search then runs modulo R(Q8), label 0, by the
+    rule of the module docstring.
     """
     index = _well_posed_tol(points, tol)
     near = index.nearest(points[0] @ matrices)
@@ -342,13 +339,12 @@ def _carrying(
         m = float(np.max(miss))
         reach = (tol + 4.0 * m) * (1.0 + _MARGIN)
         if reach <= index.r:
-            # R(Q8), the generators' double coset, misses by at most 2m
-            q8 = first[generators[0]]
-            reps = np.flatnonzero((first == np.arange(len(first))) & (first != q8))
+            # R(Q8), label 0, misses by at most 2m; each other coset goes by its first candidate
+            reps = np.flatnonzero(first == np.arange(len(first)))[1:]
             reps = reps[near[reps] <= reach]
             miss, stray = _match(index, points, matrices[reps], reach)
             accepted, undecided = np.zeros(len(matrices), dtype=bool), np.zeros(len(matrices), dtype=bool)
-            accepted[q8] = True
+            accepted[0] = True
             accepted[reps] = miss <= tol * (1.0 - _MARGIN) - 4.0 * m
             undecided[reps] = ~accepted[reps] & ~stray
             keep, todo = accepted[first], undecided[first]
@@ -398,16 +394,15 @@ def _dedup(points: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     if firsts is not None:
         kept, separation = _dedup(points[firsts], tol)
         return firsts[kept], separation
-    i, j = _Index(points, 2.0 * tol).pairs(points, 2.0 * tol)
-    diff = points[i] - points[j]
-    earlier = (j < i) & (np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= tol)
+    i, j, dist = _Index(points, 2.0 * tol).pairs(points, 2.0 * tol)
+    earlier = (j < i) & (dist <= tol)
     keep = np.ones(len(points), dtype=bool)
     # i ascends, so each verdict read here is already final
     for a, b in zip(i[earlier].tolist(), j[earlier].tolist()):
         if keep[b]:
             keep[a] = False
     apart = keep[i] & keep[j] & (i != j)
-    return np.flatnonzero(keep), float(np.min(np.linalg.norm(diff[apart], axis=1), initial=np.inf))
+    return np.flatnonzero(keep), float(np.min(dist[apart], initial=np.inf))
 
 
 def match_point_sets(source: np.ndarray, target: np.ndarray, tol: float) -> bool:
@@ -423,11 +418,12 @@ def match_point_sets(source: np.ndarray, target: np.ndarray, tol: float) -> bool
 
 def _well_posed_tol(points: np.ndarray, tol: float) -> _Index:
     """ValueError unless tol < separation / 2; returns the index, built at
-    2 tol, that measured the separation, for matching at tol."""
+    2 tol (at most the float maximum), that measured the separation, for
+    matching at tol."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     _check_resolution(float(np.max(np.abs(points), initial=0.0)), tol)
-    index = _Index(points, 2.0 * tol)
+    index = _Index(points, min(2.0 * tol, sys.float_info.max))
     _check_separation(tol, min_pairwise_distance(index))
     return index
 
@@ -457,12 +453,12 @@ def symmetry_group(cloud: PointCloud4, tol: float = DEFAULT_TOL) -> SymmetryRepo
     """Detect the cloud's full symmetry set within the candidate universe.
 
     ``is_exactly_q8`` is true when the survivors are precisely the eight
-    right-multiplication matrices; the chirality verdict is read off the
-    survivors.
+    right-multiplication matrices, R(Q8), the identity's double coset; the
+    chirality verdict is read off the survivors.
     """
     survivors = surviving_candidates(cloud, tol)
     codes = _codes(np.stack([s.m for s in survivors]).astype(np.int8))
-    right = _codes(np.stack([q8_right_matrix_int(g) for g in Q8_ELEMENTS]))
+    right = _codes(candidate_stack()[0][q8_double_cosets()[0] == 0])
     return SymmetryReport(
         candidates_tested=384,
         symmetries=tuple(survivors),

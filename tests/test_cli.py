@@ -21,6 +21,7 @@ from q8sculpt.mesh_pipeline import (
     generate_sculpture,
     load_obj,
     merge_meshes,
+    orbit_cloud,
     write_obj,
 )
 from q8sculpt.projection import POLE_PROXIMITY_TOL, default_pole, radial_to_s3
@@ -872,6 +873,8 @@ _HALF_SQRT2 = 0.5 * math.sqrt(2.0)
 _THRESHOLDS = {
     "verify-tol-below-half-separation": (_verify_sixteen_cell(math.nextafter(_HALF_SQRT2, 0.0)), 1),
     "verify-tol-at-half-separation": (_verify_sixteen_cell(_HALF_SQRT2), 2),
+    "verify-2tol-below-float-max": (_verify_sixteen_cell(8e307), 2),
+    "verify-2tol-above-float-max": (_verify_sixteen_cell(1e308), 2),
     "check-seed-separation-above-2tol": (_check_seed_with_neighbour(2e-6 * (1 + 1e-3)), 0),
     "check-seed-separation-below-2tol": (_check_seed_with_neighbour(2e-6 * (1 - 1e-3)), 2),
     "check-seed-contact-within-tol-of-face": (_check_seed_with_contact_at(1.0 - 1e-6 * (1 - 1e-3)), 0),
@@ -910,3 +913,20 @@ def test_each_threshold_keeps_the_command_contract(tmp_path, capsys, name):
     for path in written:
         json.loads(path.read_text(), parse_constant=_reject_constant)
     assert code == expected
+
+
+@pytest.mark.parametrize("tol", [9e307, 1e308])
+@pytest.mark.parametrize("command, half", [("verify", 0.165), ("check-seed", 0.177)])
+def test_a_finite_tol_is_never_reported_as_non_finite(tmp_path, capsys, command, half, tol):
+    """A --tol whose guard radius 2 tol overflows is refused as ill-posed,
+    as a --tol just below that is: exit 2, one stderr line, no warning."""
+    source = ["--seed", "demo"]
+    if command == "verify":
+        cloud = tmp_path / "cloud.json"
+        cloud.write_text(PointCloud4(orbit_cloud(demo_seed())).to_json())
+        source = ["--cloud", str(cloud)]
+    assert run([command, *source, "--tol", repr(tol)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"q8sculpt: error: input-error: tolerance {tol} is not below half the minimum pairwise distance "
+        f"({half}); matching would be ill-posed"
+    ]

@@ -605,7 +605,7 @@ def per_axis_face_contact_check(seed, tol):
         if len(plus) == 0 or len(minus) == 0:
             axes.append(AxisContact(letter, False, len(plus), len(minus), (), ()))
             continue
-        i, j = _well_posed_tol(minus, tol).pairs(plus @ contact_transfer_matrix(axis), tol)
+        i, j, _ = _well_posed_tol(minus, tol).pairs(plus @ contact_transfer_matrix(axis), tol)
         axes.append(
             AxisContact(
                 letter,

@@ -2,6 +2,7 @@
 built on it, against brute-force O(n^2) references kept in this file."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def brute_pairs(source, target, r):
 
 
 def kernel_pairs(source, target, r):
-    i, j = symmetry._Index(target, r).pairs(source, r)
+    i, j, _ = symmetry._Index(target, r).pairs(source, r)
     assert np.all(np.diff(i) >= 0)  # grouped by source
     return sorted(zip(i, j))
 
@@ -139,7 +140,7 @@ def test_one_index_serves_many_sources(dim):
         np.zeros((0, dim)),
     ]
     for source in sources:
-        i, j = index.pairs(source, r)
+        i, j, _ = index.pairs(source, r)
         assert np.all(np.diff(i) >= 0)
         assert sorted(zip(i, j)) == brute_pairs(source, target, r)
     # the misses of one stacked query, against the brute-force matcher
@@ -162,7 +163,7 @@ def test_an_index_answers_every_radius_up_to_its_own(dim):
     source = target[gen.permutation(150)] + gen.normal(scale=0.3, size=(150, dim))
     index = symmetry._Index(target, 0.6)
     for r in (0.6, 0.3, 0.05, 1e-3):
-        i, j = index.pairs(source, r)
+        i, j, _ = index.pairs(source, r)
         assert np.all(np.diff(i) >= 0)
         assert sorted(zip(i, j)) == brute_pairs(source, target, r)
         # one nearest-distance query decides the pair test at every radius
@@ -205,7 +206,7 @@ def test_pairs_within_in_small_blocks(monkeypatch):
     # one index, reused across sources, block by block
     index = symmetry._Index(points, 0.9)
     for source in (points[::-1], points[:5] + 0.1, gen.uniform(-1.0, 1.0, size=(30, 4))):
-        assert sorted(zip(*index.pairs(source, 0.9))) == brute_pairs(source, points, 0.9)
+        assert sorted(zip(*index.pairs(source, 0.9)[:2])) == brute_pairs(source, points, 0.9)
     # the candidate filter matches one candidate per chunk
     cloud = cube_orbit_cloud(2)
     survivors = [c.key() for c in surviving_candidates(PointCloud4(cloud), 1e-6)]
@@ -238,6 +239,27 @@ def test_the_guard_stops_at_the_first_block_with_coincident_points(monkeypatch):
     assert len(consumed) > 1
 
 
+def _guard_accepts(points, tol):
+    try:
+        symmetry._well_posed_tol(points, tol)
+    except ValueError:
+        return False
+    return True
+
+
+def test_the_guard_refuses_exactly_when_the_index_finds_a_pair_within_2tol():
+    """The guard's separation is the index's own distance d of the pair, so
+    it refuses tol = d / 2, where the pair lies within the radius 2 tol,
+    and accepts the next float below, where it does not."""
+    pairs = np.random.default_rng(17).normal(size=(1000, 2, 4))
+    verdicts = []
+    for pair in pairs / np.linalg.norm(pairs, axis=2, keepdims=True):
+        i, j, dist = symmetry._Index(pair, 2.0).pairs(pair, 2.0)
+        half = dist[(i == 0) & (j == 1)][0] / 2
+        verdicts.append((_guard_accepts(pair, half), _guard_accepts(pair, math.nextafter(half, 0.0))))
+    assert verdicts.count((False, True)) == len(pairs)
+
+
 def test_pairs_within_empty_inputs():
     assert kernel_pairs(np.zeros((0, 3)), np.ones((4, 3)), 0.1) == []
     assert kernel_pairs(np.ones((4, 3)), np.zeros((0, 3)), 0.1) == []
@@ -256,7 +278,7 @@ def test_pairs_within_refuses_float_resolution():
         symmetry._Index(points, np.inf).pairs(points, np.inf)
     # a reused index still checks each source's own span
     index = symmetry._Index(points, 1e-12)
-    assert sorted(zip(*index.pairs(points, 1e-12))) == [(0, 0), (1, 1)]
+    assert sorted(zip(*index.pairs(points, 1e-12)[:2])) == [(0, 0), (1, 1)]
     with pytest.raises(ValueError, match="float resolution"):
         index.pairs(points * 1e6, 1e-12)
     with pytest.raises(ValueError, match="finite"):

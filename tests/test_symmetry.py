@@ -212,6 +212,7 @@ def test_cloud_json_round_trip(sculpture_cloud):
         ([[1, 0, 0, 0], [True, 0, 0, 0]], 1),
         ([[1, 0, 0, 0], [0, 1, 0, None]], 1),
         ([1, 0, 0, 0], 0),
+        ([[1, 0, 0, 0], [1, 0, 0]], 1),
     ],
 )
 def test_cloud_json_coordinates_are_json_numbers(points, bad):
