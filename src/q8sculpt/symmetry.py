@@ -181,10 +181,14 @@ def _cell_keys(cells: np.ndarray) -> np.ndarray:
     return cells.astype(np.int64).view(np.uint64) @ places
 
 
+def _resolution(span: float) -> float:
+    return max(1.0, span) * 2.0**-50
+
+
 def _check_resolution(span: float, r: float) -> None:
     if not (np.isfinite(span) and np.isfinite(r)):
         raise ValueError("coordinates and tolerance must be finite")
-    resolution = max(1.0, span) * 2.0**-50
+    resolution = _resolution(span)
     if not r > resolution:
         raise ValueError(
             f"tolerance {r:.3g} is not above the float resolution ({resolution:.3g}) "
@@ -236,29 +240,38 @@ class _Index:
         order = np.argsort(keys, kind="stable")
         self.keys, self.owner = keys[order], order // len(corners)
 
-    def blocks(self, source: np.ndarray, r: float):
-        """Every pair (i, j) with ||source[i] - target[j]|| <= r, i ascending,
-        and its distance, in blocks of at most about ``_BLOCK`` candidates
-        each."""
-        if not r <= self.r:
-            raise ValueError(f"query radius {r:.3g} exceeds the index's build radius {self.r:.3g}")
-        source = np.asarray(source, dtype=np.float64)
-        _check_resolution(max(self.span, float(np.max(np.abs(source), initial=0.0))), r)
+    def candidates(self, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(start, count): source[s] is tested against owner[start[s] : start[s] + count[s]]."""
         probes = _cell_keys(np.floor(source / self.cell))
         # searchsorted runs several times faster on sorted needles
         by_key = np.argsort(probes)
         start, count = np.empty_like(by_key), np.empty_like(by_key)
         start[by_key] = np.searchsorted(self.keys, probes[by_key], "left")
         count[by_key] = np.searchsorted(self.keys, probes[by_key], "right") - start[by_key]
-        cuts = np.searchsorted(np.cumsum(count), np.arange(_BLOCK, count.sum(), _BLOCK))
-        for lo, hi in zip([0, *cuts], [*cuts, len(probes)]):
-            c = count[lo:hi]
-            i = np.repeat(np.arange(lo, hi), c)
-            j = self.owner[np.repeat(start[lo:hi] - np.cumsum(c) + c, c) + np.arange(c.sum())]
-            diff = source[i] - self.target[j]
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            near = dist <= r
-            yield i[near], j[near], dist[near]
+        return start, count
+
+    def near(self, source: np.ndarray, rows: np.ndarray, start: np.ndarray, count: np.ndarray, r: float):
+        """The pairs of :meth:`blocks` whose i is in the ascending rows."""
+        c = count[rows]
+        i = np.repeat(rows, c)
+        j = self.owner[np.repeat(start[rows] - np.cumsum(c) + c, c) + np.arange(c.sum())]
+        diff = source[i] - self.target[j]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        near = dist <= r
+        return i[near], j[near], dist[near]
+
+    def blocks(self, source: np.ndarray, r: float):
+        """Every pair (i, j) with ||source[i] - target[j]|| <= r, i ascending,
+        and its distance, in blocks: the sources whose first candidate, in
+        the run of all their candidates, falls in one stretch of ``_BLOCK``."""
+        if not r <= self.r:
+            raise ValueError(f"query radius {r:.3g} exceeds the index's build radius {self.r:.3g}")
+        source = np.asarray(source, dtype=np.float64)
+        _check_resolution(max(self.span, float(np.max(np.abs(source), initial=0.0))), r)
+        start, count = self.candidates(source)
+        cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // _BLOCK)) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, len(source)]):
+            yield self.near(source, np.arange(lo, hi), start, count, r)
 
     def pairs(self, source: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`blocks` in one piece: the arrays i, j and dist."""
@@ -292,13 +305,20 @@ class _Index:
 def min_pairwise_distance(index: _Index) -> float:
     """Distance of the closest two distinct target points of the index, when
     at most its build radius apart; inf otherwise (and for one point).
-    Stops at the first block with two coincident points: nothing is closer."""
+    A pair decides a scan at radius r: at 0 it is the minimum; at d < r / 4
+    the refusal at tol = r / 2 is certain, and the scan restarts on an index
+    built at d, whose pairs hold the same minimum, unless d is at the float floor."""
     best = float("inf")
-    for i, j, dist in index.blocks(index.target, index.r):
-        best = float(np.min(dist[i != j], initial=best))
-        if best == 0.0:
-            break
-    return best
+    while True:
+        for i, j, dist in index.blocks(index.target, index.r):
+            best = float(np.min(dist[i != j], initial=best))
+            if best == 0.0:
+                return best
+            if _resolution(index.span) < best < index.r / 4:
+                break
+        else:
+            return best
+        index = _Index(index.target, best)
 
 
 #: Relative margin of the double-coset rule: far more than the few ulps by
@@ -353,27 +373,6 @@ def _carrying(
     return np.flatnonzero(keep)
 
 
-_ROW_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd: multiplying by it is a bijection of uint64
-
-
-def _first_copies(points: np.ndarray) -> np.ndarray | None:
-    """Ascending indices of the first of each set of equal rows, or None
-    when no two rows are equal.  A hash of each row's bits brings equal rows
-    together; where no hash repeats, no two rows are equal."""
-    key = np.zeros(len(points), dtype=np.uint64)
-    for column in points.T:
-        key ^= (column + 0.0).view(np.uint64)  # + 0.0 turns -0.0 into 0.0
-        key *= _ROW_MIX
-        key ^= key >> 29  # else a row and its negation, which differ in bit 63 only, collide
-    if not np.any(np.diff(np.sort(key)) == 0):
-        return None
-    order = np.argsort(key)
-    ordered = points[order]
-    starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
-    firsts = np.sort(np.minimum.reduceat(order, starts))
-    return firsts if len(firsts) < len(points) else None
-
-
 def _dedup(points: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     """Indices of the points greedy dedup keeps, and the distance of the
     closest two kept points when within 2 tol (inf otherwise): the
@@ -381,28 +380,28 @@ def _dedup(points: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
 
     Greedy dedup: in order, a point is kept unless an already kept point
     lies within tol.  On a line with points at 0, 0.6 tol and 1.2 tol, the
-    first and the third are kept.  One index at 2 tol serves both: its pairs
-    within tol, by the index's own distance test, drive the dedup, and its
-    pairs of two kept points give the separation, as
-    :func:`min_pairwise_distance` computes it.
-
-    Equal rows are first collapsed to the first of their copies: a later
-    copy is always dropped, by the first copy or by the kept point that
-    dropped it, so only distinct rows reach the index and the loop.
+    first and the third are kept.  One index at 2 tol serves both, by its
+    own distances.  Only points not yet dropped are queried, in blocks of
+    the next ones, up to ``_BLOCK``, whose candidates total at most
+    ``_BLOCK`` (or one): a kept point drops its later neighbours within tol
+    before their block, so a cluster costs the query of its first point,
+    and each pair of kept points is found from its later point.
     """
-    firsts = _first_copies(points)
-    if firsts is not None:
-        kept, separation = _dedup(points[firsts], tol)
-        return firsts[kept], separation
-    i, j, dist = _Index(points, 2.0 * tol).pairs(points, 2.0 * tol)
-    earlier = (j < i) & (dist <= tol)
-    keep = np.ones(len(points), dtype=bool)
-    # i ascends, so each verdict read here is already final
-    for a, b in zip(i[earlier].tolist(), j[earlier].tolist()):
-        if keep[b]:
-            keep[a] = False
-    apart = keep[i] & keep[j] & (i != j)
-    return np.flatnonzero(keep), float(np.min(dist[apart], initial=np.inf))
+    index = _Index(points, 2.0 * tol)
+    start, count = index.candidates(points)
+    keep, separation, lo = np.ones(len(points), dtype=bool), float("inf"), 0
+    while lo < len(points):
+        window = lo + np.flatnonzero(keep[lo : lo + _BLOCK])
+        rows = window[: max(1, np.searchsorted(np.cumsum(count[window]), _BLOCK, "right"))]
+        lo = rows[-1] + 1 if len(rows) else lo + _BLOCK
+        i, j, dist = index.near(points, rows, start, count, 2.0 * tol)
+        later = (j > i) & (dist <= tol)
+        # i ascends, so each verdict read here is already final
+        for a, b in zip(i[later].tolist(), j[later].tolist()):
+            if keep[a]:
+                keep[b] = False
+        separation = float(np.min(dist[keep[i] & keep[j] & (j < i)], initial=separation))
+    return np.flatnonzero(keep), separation
 
 
 def match_point_sets(source: np.ndarray, target: np.ndarray, tol: float) -> bool:

@@ -67,6 +67,50 @@ def unit(points):
     return points / np.linalg.norm(points, axis=1, keepdims=True)
 
 
+def cluster(n, spread, seed=0):
+    """n distinct unit vectors scattered within about ``spread`` of (1, 0, 0, 0)."""
+    return unit(np.array([1.0, 0.0, 0.0, 0.0]) + np.random.default_rng(seed).normal(scale=spread / 2, size=(n, 4)))
+
+
+def height_field(grid):
+    """The noise-free grid x grid height field z = 0.5 sin 3x cos 2y."""
+    axis = np.linspace(-0.9, 0.9, grid)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    a = (np.arange(grid - 1)[:, None] * grid + np.arange(grid - 1)).ravel()
+    triangles = np.concatenate([np.stack([a, a + grid, a + 1], 1), np.stack([a + 1, a + grid, a + grid + 1], 1)])
+    return Mesh(np.stack([x.ravel(), y.ravel(), 0.5 * np.sin(3 * x).ravel() * np.cos(2 * y).ravel()], 1), triangles)
+
+
+class PairCounter:
+    """numpy, as the symmetry module sees it, counting the pair distances the
+    proximity kernel computes (the rows of its one "ij,ij->i" einsum); past
+    ``cap`` it raises, so a quadratic scan fails fast instead of running on."""
+
+    def __init__(self, cap):
+        self.count, self.cap = 0, cap
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, spec, *operands):
+        if spec == "ij,ij->i":
+            self.count += len(operands[0])
+            assert self.count <= self.cap, f"more than {self.cap} pair distances computed"
+        return np.einsum(spec, *operands)
+
+
+@pytest.fixture
+def tested_pairs(monkeypatch):
+    """Call with a cap to install a :class:`PairCounter` counter."""
+
+    def install(cap):
+        counter = PairCounter(cap)
+        monkeypatch.setattr(symmetry, "np", counter)
+        return counter
+
+    return install
+
+
 def planted_cloud(seed, n):
     """Random points closed under the cyclic group of a random candidate."""
     gen = np.random.default_rng(seed)
@@ -239,6 +283,72 @@ def test_the_guard_stops_at_the_first_block_with_coincident_points(monkeypatch):
     assert len(consumed) > 1
 
 
+def test_blocks_of_a_crowded_source_are_never_empty():
+    """Six sources, each with all 9 000 points of a cluster as candidates:
+    one block each.  Cutting at every multiple of _BLOCK would give 14 blocks,
+    8 of them empty."""
+    points = cluster(9000, 1e-7)
+    index = symmetry._Index(points, 2e-6)
+    blocks = list(index.blocks(points[:6], 2e-6))
+    assert [len(set(i.tolist())) for i, _, _ in blocks] == [1] * 6
+    assert sorted(zip(*index.pairs(points[:6], 2e-6)[:2])) == [(a, b) for a in range(6) for b in range(9000)]
+
+
+def test_the_guard_on_a_cluster_computes_few_pairs(tested_pairs):
+    """8 000 distinct points within about 1e-7: every pair lies within
+    2 tol, but the first close pair decides the refusal, and the minimum
+    is found on an index built at that pair's distance."""
+    counter = tested_pairs(100_000)
+    with pytest.raises(ValueError, match=r"minimum pairwise distance \(9\.24e-11\)"):
+        symmetry._well_posed_tol(cluster(8000, 1e-7), 1e-6)
+    assert counter.count > 8000
+
+
+@pytest.mark.parametrize("tol", [0.1, 2.0])
+def test_the_guard_at_a_large_tol_computes_few_pairs(tol, tested_pairs):
+    """The noise-free 60 x 60 height field's 28 800-point cloud holds every
+    pair within 2 tol at tol 2: a full scan computes 8.3e8 distances."""
+    cloud = orbit_cloud(height_field(60))
+    counter = tested_pairs(1_000_000)
+    with pytest.raises(ValueError, match=r"minimum pairwise distance \(0\.00808\)"):
+        symmetry._well_posed_tol(cloud, tol)
+    assert counter.count > len(cloud)
+
+
+def _floor_cloud():
+    """Spread points with two pairs closer than the float floor 2**-50:
+    one an ulp apart among the first points, and a closer one, 1e-150
+    apart, among the last."""
+    points = unit(np.random.default_rng(4).normal(size=(300, 4)))
+    points[1] = points[0]
+    points[1, 0] = np.nextafter(points[0, 0], 2.0)
+    points[-2:] = [0.6, 0.8, 0.0, 0.0]
+    points[-1, 2] = 1e-150
+    return points
+
+
+@pytest.mark.parametrize(
+    "points, r, block",
+    [
+        (np.concatenate([cluster(600, 1e-7), unit(np.random.default_rng(1).normal(size=(200, 4)))]), 2e-6, 1 << 12),
+        (orbit_cloud(height_field(10)), 4.0, 1 << 12),
+        (_floor_cloud(), 2e-6, 32),
+    ],
+    ids=["cluster", "height-field-at-tol-2", "below-the-float-floor"],
+)
+def test_the_guard_quotes_the_minimum_of_every_pair(points, r, block, monkeypatch):
+    """Restarting on smaller indices finds the value a scan of every pair
+    within r finds; at the float floor no smaller index can be built, so
+    the scan runs on past the close pair of its first block to the closer
+    one of a later block."""
+    monkeypatch.setattr(symmetry, "_BLOCK", block)
+    i, j, dist = symmetry._Index(points, r).pairs(points, r)
+    every_pair = float(np.min(dist[i != j]))
+    assert symmetry.min_pairwise_distance(symmetry._Index(points, r)) == every_pair
+    brute = min(np.linalg.norm(points[k + 1 :] - points[k], axis=1).min() for k in range(len(points) - 1))
+    assert every_pair == pytest.approx(brute, rel=1e-12)
+
+
 def _guard_accepts(points, tol):
     try:
         symmetry._well_posed_tol(points, tol)
@@ -293,12 +403,32 @@ def test_dedup_keeps_first_of_a_chain():
     assert separation == np.linalg.norm(line[2] - line[0])
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_dedup_matches_brute_force(seed):
-    gen = np.random.default_rng(seed)
+def dedup_input(case, tol):
+    """Points around 25 random centres for an integer seed; else a cluster
+    of distinct points, scattered by 0.2 tol, among spread ones, a chain at
+    0.6 tol spacing, or near copies interleaved with their originals, some
+    before them."""
+    gen = np.random.default_rng(case if isinstance(case, int) else 9)
+    if case == "cluster":
+        points = np.concatenate([gen.normal(scale=0.2 * tol, size=(120, 3)), gen.uniform(-1.0, 1.0, size=(60, 3))])
+        return points[gen.permutation(len(points))]
+    if case == "chain":
+        line = np.outer(np.arange(150) * 0.6 * tol, unit(gen.normal(size=(1, 3)))[0])
+        return line + gen.normal(scale=0.01 * tol, size=line.shape)
+    if case == "interleaved":
+        originals = gen.uniform(-1.0, 1.0, size=(75, 1, 3))
+        pairs = np.concatenate([originals, originals + gen.normal(scale=0.5 * tol, size=(75, 1, 3))], axis=1)
+        swapped = gen.random(75) < 0.3
+        pairs[swapped] = pairs[swapped, ::-1]
+        return pairs.reshape(-1, 3)
     centers = gen.uniform(-1.0, 1.0, size=(25, 3))
-    points = centers[gen.integers(25, size=150)] + gen.normal(scale=0.03, size=(150, 3))
+    return centers[gen.integers(25, size=150)] + gen.normal(scale=0.03, size=(150, 3))
+
+
+@pytest.mark.parametrize("case", [*range(5), "cluster", "chain", "interleaved"])
+def test_dedup_matches_brute_force(case):
     for tol in (0.01, 0.05, 0.2):
+        points = dedup_input(case, tol)
         kept, separation = _dedup(points, tol)
         assert kept.tolist() == brute_dedup(points, tol)
         # the guard's separation, as an index of its own over the kept points measures it
@@ -322,21 +452,25 @@ def test_dedup_of_copies_matches_brute_force(seed):
         assert separation == symmetry.min_pairwise_distance(symmetry._Index(points[kept], 2 * tol))
 
 
-def test_dedup_indexes_only_distinct_rows(monkeypatch):
-    """A seed with 2 000 copies of one vertex: the orbit cloud's dedup builds
-    its index over the 24 distinct points, not over all 16 016."""
-    sizes = []
-    build = symmetry._Index.__init__
-
-    def counting(self, target, r):
-        sizes.append(len(target))
-        build(self, target, r)
-
-    monkeypatch.setattr(symmetry._Index, "__init__", counting)
+def test_dedup_of_copies_computes_few_pairs(tested_pairs):
+    """A seed with 2 000 copies of one vertex: each of the eight images'
+    copies is dropped by its first, and only the 24 kept points and a few
+    dropped ones are queried, not all 16 016 rows against each other."""
+    counter = tested_pairs(100_000)
     vertices = np.array([[0.1, 0.2, 0.3]] * 2000 + [[0.4, -0.1, 0.2], [-0.3, 0.25, 0.1]])
     cloud = orbit_cloud(Mesh(vertices, np.array([[0, 2000, 2001]])))
     assert len(cloud) == 24
-    assert sizes == [24]
+    assert counter.count > 0
+
+
+def test_dedup_of_a_cluster_computes_few_pairs(tested_pairs):
+    """2 000 distinct points within 2e-7 at tol 1e-6: the first is kept and
+    drops the rest before they are queried; querying every point computes
+    all 4e6 pairs."""
+    counter = tested_pairs(20_000)
+    kept, separation = _dedup(cluster(2000, 2e-7), 1e-6)
+    assert kept.tolist() == [0] and separation == np.inf
+    assert counter.count >= 2000
 
 
 @pytest.mark.parametrize(
