@@ -300,8 +300,9 @@ def block_seed(block: DecoratedBlock) -> Mesh:
     in :data:`FACES` order.  With centre, arrow and transverse the rows of
     the face's frame (:func:`_frame`), one marker lies along the motif
     arrow at a motif-specific distance, the other off-axis on the motif's
-    handedness side.  Three triangles join each +face's markers to the
-    -face's arrow marker.  A valid assembly's matched squares receive the
+    handedness side.  Per axis, two triangles join the +face's markers to
+    the -face's; a core triangle joins the +faces' arrow markers, so the
+    print is one piece.  A valid assembly's matched squares receive the
     same marker from both incident cells, so the seed passes the contact
     audit exactly when :func:`assemble_hypercube` matches all 24 squares."""
     vertices = []
@@ -311,7 +312,8 @@ def block_seed(block: DecoratedBlock) -> Mesh:
         hand = 1 if dec.chirality == "right" else -1
         vertices.append(center + _MOTIF_OFFSET[dec.motif] * arrow)
         vertices.append(center + _CHIRALITY_OFFSET * (arrow + hand * sigma))
-    return Mesh(np.array(vertices), [(4 * a, 4 * a + 1, 4 * a + 2) for a in range(3)])
+    joins = [(4 * a, 4 * a + 1, 4 * a + 2) for a in range(3)] + [(4 * a + 1, 4 * a + 3, 4 * a + 2) for a in range(3)]
+    return Mesh(np.array(vertices), [*joins, (0, 4, 8)])
 
 
 def decoration_cloud(assembly: HypercubeAssembly) -> np.ndarray:

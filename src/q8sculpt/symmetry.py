@@ -198,7 +198,8 @@ def _check_resolution(span: float, r: float) -> None:
 
 class _Index:
     """The one proximity kernel: target points hashed once at a build radius
-    R, then queried at any radius r <= R, one probe per query point.
+    R, then queried at any radius r <= R, one probe per query point; pairs
+    leave it only by the walk of :meth:`blocks`.
 
     Each target t is stored under the 2**d cells floor(t / c - 1/2) + {0, 1}**d
     (16 in 4-D, 8 in 3-D), their keys sorted once; a query q probes the one
@@ -240,38 +241,39 @@ class _Index:
         order = np.argsort(keys, kind="stable")
         self.keys, self.owner = keys[order], order // len(corners)
 
-    def candidates(self, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(start, count): source[s] is tested against owner[start[s] : start[s] + count[s]]."""
+    def blocks(self, source: np.ndarray, r: float, live: Optional[np.ndarray] = None):
+        """Every pair (i, j) with ||source[i] - target[j]|| <= r, i ascending,
+        and its distance, in blocks.  Each source is probed once; a block
+        takes the live ones among the next ``_BLOCK`` sources, the first as
+        many as have at most ``_BLOCK`` candidates in total, or the first
+        alone when it has more.  ``live`` (all when None) is read before
+        each block, so a consumer that clears it skips sources not yet
+        queried.  A source of no rows yields one empty block."""
+        if not r <= self.r:
+            raise ValueError(f"query radius {r:.3g} exceeds the index's build radius {self.r:.3g}")
+        source = np.asarray(source, dtype=np.float64)
+        _check_resolution(max(self.span, float(np.max(np.abs(source), initial=0.0))), r)
+        live = np.ones(len(source), dtype=bool) if live is None else live
         probes = _cell_keys(np.floor(source / self.cell))
         # searchsorted runs several times faster on sorted needles
         by_key = np.argsort(probes)
         start, count = np.empty_like(by_key), np.empty_like(by_key)
         start[by_key] = np.searchsorted(self.keys, probes[by_key], "left")
         count[by_key] = np.searchsorted(self.keys, probes[by_key], "right") - start[by_key]
-        return start, count
-
-    def near(self, source: np.ndarray, rows: np.ndarray, start: np.ndarray, count: np.ndarray, r: float):
-        """The pairs of :meth:`blocks` whose i is in the ascending rows."""
-        c = count[rows]
-        i = np.repeat(rows, c)
-        j = self.owner[np.repeat(start[rows] - np.cumsum(c) + c, c) + np.arange(c.sum())]
-        diff = source[i] - self.target[j]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        near = dist <= r
-        return i[near], j[near], dist[near]
-
-    def blocks(self, source: np.ndarray, r: float):
-        """Every pair (i, j) with ||source[i] - target[j]|| <= r, i ascending,
-        and its distance, in blocks: the sources whose first candidate, in
-        the run of all their candidates, falls in one stretch of ``_BLOCK``."""
-        if not r <= self.r:
-            raise ValueError(f"query radius {r:.3g} exceeds the index's build radius {self.r:.3g}")
-        source = np.asarray(source, dtype=np.float64)
-        _check_resolution(max(self.span, float(np.max(np.abs(source), initial=0.0))), r)
-        start, count = self.candidates(source)
-        cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // _BLOCK)) + 1
-        for lo, hi in zip([0, *cuts], [*cuts, len(source)]):
-            yield self.near(source, np.arange(lo, hi), start, count, r)
+        lo = 0
+        while True:
+            window = lo + np.flatnonzero(live[lo : lo + _BLOCK])
+            rows = window[: max(1, np.searchsorted(np.cumsum(count[window]), _BLOCK, "right"))]
+            lo = rows[-1] + 1 if len(rows) else lo + _BLOCK
+            c = count[rows]
+            i = np.repeat(rows, c)
+            j = self.owner[np.repeat(start[rows] - np.cumsum(c) + c, c) + np.arange(c.sum())]
+            diff = source[i] - self.target[j]
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            near = dist <= r
+            yield i[near], j[near], dist[near]
+            if lo >= len(source):
+                return
 
     def pairs(self, source: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`blocks` in one piece: the arrays i, j and dist."""
@@ -381,20 +383,14 @@ def _dedup(points: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     Greedy dedup: in order, a point is kept unless an already kept point
     lies within tol.  On a line with points at 0, 0.6 tol and 1.2 tol, the
     first and the third are kept.  One index at 2 tol serves both, by its
-    own distances.  Only points not yet dropped are queried, in blocks of
-    the next ones, up to ``_BLOCK``, whose candidates total at most
-    ``_BLOCK`` (or one): a kept point drops its later neighbours within tol
-    before their block, so a cluster costs the query of its first point,
-    and each pair of kept points is found from its later point.
+    own distances, walked by :meth:`_Index.blocks` over the points not yet
+    dropped: a kept point drops its later neighbours within tol before
+    their block, so a cluster costs the query of its first point, and each
+    pair of kept points is found from its later point.
     """
     index = _Index(points, 2.0 * tol)
-    start, count = index.candidates(points)
-    keep, separation, lo = np.ones(len(points), dtype=bool), float("inf"), 0
-    while lo < len(points):
-        window = lo + np.flatnonzero(keep[lo : lo + _BLOCK])
-        rows = window[: max(1, np.searchsorted(np.cumsum(count[window]), _BLOCK, "right"))]
-        lo = rows[-1] + 1 if len(rows) else lo + _BLOCK
-        i, j, dist = index.near(points, rows, start, count, 2.0 * tol)
+    keep, separation = np.ones(len(points), dtype=bool), float("inf")
+    for i, j, dist in index.blocks(points, 2.0 * tol, keep):
         later = (j > i) & (dist <= tol)
         # i ascends, so each verdict read here is already final
         for a, b in zip(i[later].tolist(), j[later].tolist()):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from q8sculpt import mesh_pipeline, symmetry
+from q8sculpt.blocks import block_seed, standard_block
 from q8sculpt.hypercube import contact_transfer_matrix, sixteen_cell
 from q8sculpt.mesh_pipeline import (
     FLOAT32_MAX,
@@ -525,6 +526,31 @@ def test_demo_seed_is_printable_seed(demo_mesh):
     assert seed_asymmetry_check(demo_mesh.vertices)
     report = face_contact_check(demo_mesh)
     assert report.passed
+
+
+def _pieces(mesh, weld):
+    """Connected pieces of the mesh's triangles, with vertices within weld
+    of each other welded, by union-find over the package's own index."""
+    parent = list(range(mesh.n_vertices))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    i, j, _ = symmetry._Index(mesh.vertices, weld).pairs(mesh.vertices, weld)
+    edges = np.concatenate([np.stack([i, j], axis=1), mesh.triangles[:, :2], mesh.triangles[:, 1:]])
+    for a, b in edges.tolist():
+        parent[root(a)] = root(b)
+    return len({root(a) for a in mesh.triangles.ravel().tolist()})
+
+
+@pytest.mark.parametrize("seed", ["demo", "block"])
+def test_the_seed_prints_as_one_piece(seed):
+    """The eight parts, welded where they touch, form one connected print."""
+    mesh = demo_seed() if seed == "demo" else block_seed(standard_block())
+    assert _pieces(generate_sculpture(mesh, default_pole(), 1.0).merged, 1e-5) == 1
 
 
 def test_face_contact_fixture_from_gluing_maps(rng):

@@ -294,6 +294,30 @@ def test_blocks_of_a_crowded_source_are_never_empty():
     assert sorted(zip(*index.pairs(points[:6], 2e-6)[:2])) == [(a, b) for a in range(6) for b in range(9000)]
 
 
+@pytest.mark.parametrize("block", [symmetry._BLOCK, 7])
+def test_blocks_skip_the_sources_cleared_during_the_walk(block, monkeypatch):
+    """A consumer clears live sources as it walks, some ahead of the walk and
+    some behind it: a source cleared before its block is never yielded, and
+    every pair of the other sources is yielded exactly once."""
+    monkeypatch.setattr(symmetry, "_BLOCK", block)
+    gen = np.random.default_rng(8)
+    points = np.concatenate([cluster(40, 1e-3), unit(gen.normal(size=(160, 4)))])[gen.permutation(200)]
+    index, live, skipped, got = symmetry._Index(points, 0.5), np.ones(200, dtype=bool), set(), []
+    for i, j, _ in index.blocks(points, 0.5, live):
+        assert not skipped & set(i.tolist())
+        got += zip(i.tolist(), j.tolist())
+        done = max((a for a, _ in got), default=-1)  # every source pairs with itself
+        for a in gen.choice(200, size=8).tolist():
+            if live[a] and a > done:
+                skipped.add(a)
+            live[a] = False
+    assert skipped and np.all(np.diff([a for a, _ in got]) >= 0)
+    assert sorted(got) == [(a, b) for a, b in brute_pairs(points, points, 0.5) if a not in skipped]
+    # a source of no rows yields one empty block
+    empty = list(index.blocks(np.zeros((0, 4)), 0.5, np.zeros(0, dtype=bool)))
+    assert len(empty) == 1 and all(len(part) == 0 for part in empty[0])
+
+
 def test_the_guard_on_a_cluster_computes_few_pairs(tested_pairs):
     """8 000 distinct points within about 1e-7: every pair lies within
     2 tol, but the first close pair decides the refusal, and the minimum
@@ -425,8 +449,16 @@ def dedup_input(case, tol):
     return centers[gen.integers(25, size=150)] + gen.normal(scale=0.03, size=(150, 3))
 
 
-@pytest.mark.parametrize("case", [*range(5), "cluster", "chain", "interleaved"])
-def test_dedup_matches_brute_force(case):
+def at_block_sizes(cases):
+    """Each case at the default ``_BLOCK``, under its own id, and at 7, where
+    the dedup's walk crosses many blocks."""
+    default = [pytest.param(case, symmetry._BLOCK, id=str(case)) for case in cases]
+    return default + [pytest.param(case, 7, id=f"{case}-block-7") for case in cases]
+
+
+@pytest.mark.parametrize("case, block", at_block_sizes([*range(5), "cluster", "chain", "interleaved"]))
+def test_dedup_matches_brute_force(case, block, monkeypatch):
+    monkeypatch.setattr(symmetry, "_BLOCK", block)
     for tol in (0.01, 0.05, 0.2):
         points = dedup_input(case, tol)
         kept, separation = _dedup(points, tol)
@@ -435,10 +467,11 @@ def test_dedup_matches_brute_force(case):
         assert separation == symmetry.min_pairwise_distance(symmetry._Index(points[kept], 2 * tol))
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_dedup_of_copies_matches_brute_force(seed):
+@pytest.mark.parametrize("seed, block", at_block_sizes(range(5)))
+def test_dedup_of_copies_matches_brute_force(seed, block, monkeypatch):
     """Multisets with bit-equal rows and rows that differ only in the sign of
     a zero: collapsing the copies first changes no verdict."""
+    monkeypatch.setattr(symmetry, "_BLOCK", block)
     gen = np.random.default_rng(seed)
     centers = gen.uniform(-1.0, 1.0, size=(6, 3))
     centers[gen.random(centers.shape) < 0.3] = 0.0
