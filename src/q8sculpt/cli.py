@@ -198,8 +198,8 @@ def _cmd_check_seed(args: argparse.Namespace) -> int:
     asymmetric = seed_asymmetry_check(seed.vertices, tol)
     report = {
         "asymmetric": asymmetric,
-        "contact": contact.to_dict(),
-        "passed": asymmetric and contact.passed,
+        "contact": contact,
+        "passed": asymmetric and contact["passed"],
     }
     _emit(args.out, json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     if report["passed"]:
@@ -207,7 +207,7 @@ def _cmd_check_seed(args: argparse.Namespace) -> int:
     if not asymmetric:
         _diag("verification-failure", "seed has nontrivial symmetry")
     else:
-        failed = [a.axis for a in contact.axes if not a.passed]
+        failed = [axis for axis, audit in contact["axes"].items() if not audit["passed"]]
         _diag("verification-failure", f"seed face contact fails on axes {failed}")
     return EXIT_VERIFICATION
 
@@ -293,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _diag("input-error", str(exc))
         return EXIT_INPUT
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .quat import Q8Element, Q8_ELEMENTS, Record, q8_right_matrix_int
 from .projection import Pole, PoleProximityError, radial_to_s3, stereo_project
 from .hypercube import contact_transfer_matrix
-from .symmetry import DEFAULT_TOL, _Index, _check_separation, _dedup, _well_posed_tol
+from .symmetry import DEFAULT_TOL, _check_separation, _dedup, _well_posed_tol
 
 SEED_DOMAIN_TOL = 1e-9
 
@@ -371,45 +371,11 @@ def scale_for_min_feature(merged: Mesh, min_feature: float) -> float:
     raise ValueError(f"--min-feature {min_feature:.6g} needs a scale beyond the float range")
 
 
-class AxisContact(NamedTuple):
-    """Contact audit for one axis pair of seed faces."""
-
-    axis: str
-    passed: bool
-    plus_count: int
-    minus_count: int
-    unmatched_plus: tuple[tuple[float, float, float], ...]
-    unmatched_minus: tuple[tuple[float, float, float], ...]
-
-
-class ContactReport(NamedTuple):
-    """The contact audits of the three axes, x, y and z."""
-
-    axes: tuple[AxisContact, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(axis.passed for axis in self.axes)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "axes": {
-                a.axis: {
-                    "passed": a.passed,
-                    "plus_count": a.plus_count,
-                    "minus_count": a.minus_count,
-                    "unmatched_plus": [list(p) for p in a.unmatched_plus],
-                    "unmatched_minus": [list(p) for p in a.unmatched_minus],
-                }
-                for a in self.axes
-            },
-        }
-
-
-def face_contact_check(seed: Mesh, tol: float = DEFAULT_TOL) -> ContactReport:
+def face_contact_check(seed: Mesh, tol: float = DEFAULT_TOL) -> dict:
     """Verify the seed can connect to its transported copies through all six
-    cube faces.
+    cube faces: the ``contact`` object of the ``check-seed`` report,
+    ``{"passed": ..., "axes": {"x": {"passed", "plus_count", "minus_count",
+    "unmatched_plus", "unmatched_minus"}, "y": ..., "z": ...}}``.
 
     For each axis, the vertices on the +face must map onto the vertices on
     the -face under that axis's :func:`~q8sculpt.hypercube.contact_transfer_matrix`,
@@ -417,28 +383,31 @@ def face_contact_check(seed: Mesh, tol: float = DEFAULT_TOL) -> ContactReport:
     listed as unmatched: all of them on an axis where only one face has
     contacts.  An axis with no contact at all fails, since nothing would
     physically connect there.  Two seed vertices closer than ``2 * tol``
-    make the matching ambiguous and raise ValueError; under that guard the
-    signed-permutation images pair off one to one.
+    make the matching ambiguous and raise ValueError.  Under that guard each
+    image has at most one seed vertex within ``tol``, so the guard's own
+    index pairs the images, and a partner counts only on the -face.
     """
     _check_seed_domain(seed)
-    _well_posed_tol(seed.vertices, tol)
-    axes = []
+    index = _well_posed_tol(seed.vertices, tol)
+    axes = {}
     for axis, letter in enumerate("xyz"):
         coords = seed.vertices[:, axis]
         plus = seed.vertices[np.abs(coords - 1.0) <= tol]
-        minus = seed.vertices[np.abs(coords + 1.0) <= tol]
-        i, j, _ = _Index(minus, tol).pairs(plus @ contact_transfer_matrix(axis), tol)
-        axes.append(
-            AxisContact(
-                letter,
-                0 < len(plus) == len(minus) == len(i),
-                len(plus),
-                len(minus),
-                tuple(map(tuple, np.delete(plus, i, axis=0).tolist())),
-                tuple(map(tuple, np.delete(minus, j, axis=0).tolist())),
-            )
-        )
-    return ContactReport(tuple(axes))
+        on_minus = np.abs(coords + 1.0) <= tol
+        i, j, _ = index.pairs(plus @ contact_transfer_matrix(axis), tol)
+        hit = on_minus[j]
+        i, j = i[hit], j[hit]
+        unmatched_minus = on_minus.copy()
+        unmatched_minus[j] = False
+        minus_count = int(np.count_nonzero(on_minus))
+        axes[letter] = {
+            "passed": 0 < len(plus) == minus_count == len(i),
+            "plus_count": len(plus),
+            "minus_count": minus_count,
+            "unmatched_plus": np.delete(plus, i, axis=0).tolist(),
+            "unmatched_minus": seed.vertices[unmatched_minus].tolist(),
+        }
+    return {"passed": all(a["passed"] for a in axes.values()), "axes": axes}
 
 
 def orbit_cloud(seed: Mesh) -> np.ndarray:

@@ -366,7 +366,7 @@ def test_assemble_rejects_quarter_turn_violation():
         assert assembly.failed_axes == broken
         assert assembly.matched == 8 * (3 - len(broken))
         assert (assembly.valid, assembly.matched) == oracle_audit(variant)
-        assert face_contact_check(block_seed(variant)).passed == assembly.valid
+        assert face_contact_check(block_seed(variant))["passed"] == assembly.valid
 
 
 def test_assembly_symmetry_group_is_exactly_q8():
@@ -497,7 +497,7 @@ def test_block_seed_is_the_assembly(face, motif, chirality, turn):
     block = DecoratedBlock(faces)
     assembly = assemble_hypercube(block)
     assert (assembly.valid, assembly.matched) == oracle_audit(block)
-    assert face_contact_check(block_seed(block)).passed == assembly.valid
+    assert face_contact_check(block_seed(block))["passed"] == assembly.valid
     assert _seed_symmetries(block) == [r.tolist() for r in block_symmetries(block)]
 
     if assembly.valid:

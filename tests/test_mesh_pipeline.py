@@ -12,8 +12,6 @@ from q8sculpt.blocks import block_seed, standard_block
 from q8sculpt.hypercube import contact_transfer_matrix, sixteen_cell
 from q8sculpt.mesh_pipeline import (
     FLOAT32_MAX,
-    AxisContact,
-    ContactReport,
     Mesh,
     MeshFormatError,
     SculptureBundle,
@@ -147,7 +145,6 @@ def test_records_refuse_assignment(demo_mesh):
     bundle = generate_sculpture(demo_mesh, default_pole(), 1.0)
     bundle.merged  # cached on first use, and as frozen as the fields after
     cloud = PointCloud4(orbit_cloud(demo_mesh))
-    contact = face_contact_check(demo_mesh)
     records = [
         (Quaternion(1.0, 2.0, 3.0, 4.0), "w"),
         (UnitQuaternion(0.0, 1.0, 0.0, 0.0), "x"),
@@ -160,8 +157,6 @@ def test_records_refuse_assignment(demo_mesh):
         (demo_mesh, "triangles"),
         (bundle, "parts"),
         (bundle, "merged"),
-        (contact.axes[0], "passed"),
-        (contact, "axes"),
     ]
     for record, field in records:
         with pytest.raises(AttributeError):
@@ -524,8 +519,7 @@ def test_demo_seed_is_printable_seed(demo_mesh):
     assert demo_mesh.n_vertices == 15
     assert np.max(np.abs(demo_mesh.vertices)) <= 1.0
     assert seed_asymmetry_check(demo_mesh.vertices)
-    report = face_contact_check(demo_mesh)
-    assert report.passed
+    assert face_contact_check(demo_mesh)["passed"]
 
 
 def _pieces(mesh, weld):
@@ -566,7 +560,7 @@ def test_face_contact_fixture_from_gluing_maps(rng):
     verts = np.concatenate(verts)
     tris = [(0, 1, 2)] + [(0, 3 + 2 * k, 4 + 2 * k) for k in range(6)]
     good = Mesh(verts, np.array(tris))
-    assert face_contact_check(good).passed
+    assert face_contact_check(good)["passed"]
 
     # rotate one minus-face marker a quarter turn too few: mirrored-only placement
     bad_verts = verts.copy()
@@ -574,17 +568,17 @@ def test_face_contact_fixture_from_gluing_maps(rng):
     reflect[0, 0] = -1.0
     bad_verts[5] = verts[3] @ reflect
     bad_verts[6] = verts[4] @ reflect
-    report = face_contact_check(Mesh(bad_verts, np.array(tris)))
-    assert not report.axes[0].passed
-    assert report.axes[0].unmatched_plus or report.axes[0].unmatched_minus
-    assert report.axes[1].passed and report.axes[2].passed
+    axes = face_contact_check(Mesh(bad_verts, np.array(tris)))["axes"]
+    assert not axes["x"]["passed"]
+    assert axes["x"]["unmatched_plus"] or axes["x"]["unmatched_minus"]
+    assert axes["y"]["passed"] and axes["z"]["passed"]
 
     # empty contact on one face pair
     shrunk = verts.copy()
     shrunk[3:7, 0] *= 0.5  # pull the x-axis markers off the faces
-    report = face_contact_check(Mesh(shrunk, np.array(tris)))
-    assert not report.axes[0].passed
-    assert report.axes[0].plus_count == 0
+    x = face_contact_check(Mesh(shrunk, np.array(tris)))["axes"]["x"]
+    assert not x["passed"]
+    assert x["plus_count"] == 0
 
 
 def test_ambiguous_minus_face_raises_whatever_the_counts():
@@ -602,7 +596,7 @@ def test_one_sided_contact_axis_lists_its_contacts_as_unmatched(sign):
     """Contacts on only the +X (or only the -X) face: both are unmatched,
     and the untouched y and z axes list nothing."""
     verts = np.array([[0.1, -0.05, 0.2], [-0.2, 0.15, -0.1], [sign, 0.35, 0.15], [sign, 0.05, -0.25]])
-    axes = face_contact_check(Mesh(verts, np.array([(0, 2, 3), (0, 1, 2)]))).to_dict()["axes"]
+    axes = face_contact_check(Mesh(verts, np.array([(0, 2, 3), (0, 1, 2)])))["axes"]
     contacts = verts[2:].tolist()
     x = axes["x"]
     assert not x["passed"]
@@ -622,27 +616,26 @@ def per_axis_face_contact_check(seed, tol):
     """Reference: the contact audit as it was before the seed-wide guard,
     with a greedy dedup of each contact set, a guard on each -face set and a
     count of distinct -face hits."""
-    axes = []
+    axes = {}
     for axis, letter in enumerate("xyz"):
         coords = seed.vertices[:, axis]
         plus = seed.vertices[np.abs(coords - 1.0) <= tol]
         minus = seed.vertices[np.abs(coords + 1.0) <= tol]
         plus, minus = plus[_dedup(plus, tol)[0]], minus[_dedup(minus, tol)[0]]
         if len(plus) == 0 or len(minus) == 0:
-            axes.append(AxisContact(letter, False, len(plus), len(minus), (), ()))
+            axes[letter] = {
+                "passed": False, "plus_count": len(plus), "minus_count": len(minus), "unmatched_plus": [], "unmatched_minus": []
+            }
             continue
         i, j, _ = _well_posed_tol(minus, tol).pairs(plus @ contact_transfer_matrix(axis), tol)
-        axes.append(
-            AxisContact(
-                letter,
-                len(plus) == len(minus) == len(i) == len(set(j.tolist())),
-                len(plus),
-                len(minus),
-                tuple(map(tuple, np.delete(plus, i, axis=0).tolist())),
-                tuple(map(tuple, np.delete(minus, j, axis=0).tolist())),
-            )
-        )
-    return ContactReport(tuple(axes))
+        axes[letter] = {
+            "passed": len(plus) == len(minus) == len(i) == len(set(j.tolist())),
+            "plus_count": len(plus),
+            "minus_count": len(minus),
+            "unmatched_plus": np.delete(plus, i, axis=0).tolist(),
+            "unmatched_minus": np.delete(minus, j, axis=0).tolist(),
+        }
+    return {"passed": all(a["passed"] for a in axes.values()), "axes": axes}
 
 
 def contact_seed(seed, case, tol):
@@ -687,8 +680,8 @@ def test_contact_audit_matches_the_per_axis_reference(case, tol):
             with pytest.raises(ValueError, match="ill-posed"):
                 face_contact_check(seed, tol)
             continue
-        report = face_contact_check(seed, tol).to_dict()
-        assert report == per_axis_face_contact_check(seed, tol).to_dict()
+        report = face_contact_check(seed, tol)
+        assert report == per_axis_face_contact_check(seed, tol)
         x = report["axes"]["x"]
         x_verdicts.add(x["passed"])
         assert report["axes"]["y"]["passed"] and report["axes"]["z"]["passed"]
@@ -706,10 +699,28 @@ def test_contact_within_tol_of_another_is_ill_posed(demo_mesh):
     extra = demo_mesh.vertices[3] + np.array([0.0, 5e-7, 0.0])
     verts = np.concatenate([demo_mesh.vertices, [extra, extra @ contact_transfer_matrix(0)]])
     seed = Mesh(verts, demo_mesh.triangles)
-    x = per_axis_face_contact_check(seed, 1e-6).to_dict()["axes"]["x"]
+    x = per_axis_face_contact_check(seed, 1e-6)["axes"]["x"]
     assert (x["passed"], x["plus_count"], x["minus_count"]) == (True, 2, 2)
     with pytest.raises(ValueError, match="ill-posed"):
         face_contact_check(seed, 1e-6)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+def test_partner_off_the_minus_face_does_not_count(demo_mesh, tol):
+    """+X contact 3 at x = 1 - 0.6 tol, its -X partner, vertex 5, moved off
+    the face to x = -1 + 1.2 tol: vertex 5 lies within tol of contact 3's
+    transfer image, but only a -face vertex is a partner."""
+    verts = demo_mesh.vertices.copy()
+    verts[3, 0], verts[5, 0] = 1.0 - 0.6 * tol, -1.0 + 1.2 * tol
+    seed = Mesh(verts, demo_mesh.triangles)
+    image = verts[3] @ contact_transfer_matrix(0)
+    assert np.linalg.norm(image - verts[5]) <= tol
+    report = face_contact_check(seed, tol)
+    assert report == per_axis_face_contact_check(seed, tol)
+    x = report["axes"]["x"]
+    assert not x["passed"] and (x["plus_count"], x["minus_count"]) == (2, 1)
+    assert (x["unmatched_plus"], x["unmatched_minus"]) == ([verts[3].tolist()], [])
+
 
 def test_orbit_cloud_counts(random_seed_mesh, demo_mesh):
     # interior seed: nothing coincides

@@ -422,7 +422,7 @@ def test_a_symmetry_outside_the_candidates_goes_unseen(turned_seed):
     seed, a, n_vertices, n_cloud = turned_seed
     assert seed.n_vertices == n_vertices
     assert seed_asymmetry_check(seed.vertices)
-    assert face_contact_check(seed).passed
+    assert face_contact_check(seed)["passed"]
     cloud = PointCloud4(orbit_cloud(seed))
     assert len(cloud) == n_cloud
     assert invariant_under(cloud, a)
