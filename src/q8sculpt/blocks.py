@@ -98,14 +98,18 @@ class FaceDecoration(ValueRecord):
 
 
 class DecoratedBlock(ValueRecord):
-    """A cube with one decoration per face, keyed by (axis, sign)."""
+    """A cube with one decoration per face, keyed by (axis, sign), in a
+    dict of its own; hashed by the six decorations in ``FACES`` order."""
 
     __slots__ = __match_args__ = ("faces",)
 
     def __init__(self, faces: dict[tuple[int, int], FaceDecoration]) -> None:
         if set(faces) != set(FACES):
             raise ValueError("a block needs exactly the six cube faces")
-        self._store(faces=faces)
+        self._store(faces=dict(faces))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.faces[face] for face in FACES))
 
     def face(self, axis: int, sign: int) -> FaceDecoration:
         return self.faces[(axis, sign)]

@@ -175,7 +175,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .symmetry import DEFAULT_TOL, PointCloud4, symmetry_group
 
-    cloud = PointCloud4.from_json(Path(args.cloud).read_text())
+    cloud = PointCloud4.from_json(Path(args.cloud).read_bytes())
     report = symmetry_group(cloud, args.tol or DEFAULT_TOL)  # a given --tol is > 0
     _emit(args.out, report.to_json())
     if report.is_exactly_q8:

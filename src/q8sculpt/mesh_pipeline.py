@@ -57,23 +57,7 @@ class Mesh(Record):
             repeated = (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])
             if np.any(repeated):
                 raise ValueError(f"degenerate triangle at index {int(np.argmax(repeated))}")
-        v.setflags(write=False)
-        t.setflags(write=False)
         self._store(vertices=v, triangles=t)
-
-    @classmethod
-    def _checked(cls, vertices: np.ndarray, triangles: np.ndarray) -> "Mesh":
-        """The mesh of arrays that already meet every check of ``__init__``,
-        which it takes over, unchecked."""
-        vertices.setflags(write=False)
-        triangles.setflags(write=False)
-        return cls._trusted(vertices=vertices, triangles=triangles)
-
-    def _with_vertices(self, vertices: np.ndarray) -> "Mesh":
-        """The mesh of these new (n, 3) vertices, which it takes over, on the
-        same, already checked, triangles: only finiteness is checked."""
-        _check_finite(vertices)
-        return self._checked(vertices, self.triangles)
 
     @property
     def n_vertices(self) -> int:
@@ -86,7 +70,9 @@ class Mesh(Record):
     def scaled(self, factor: float) -> "Mesh":
         """The mesh with every vertex multiplied by ``factor``; it shares this
         mesh's triangle array."""
-        return self._with_vertices(self.vertices * factor)
+        vertices = self.vertices * factor
+        _check_finite(vertices)
+        return Mesh._trusted(vertices=vertices, triangles=self.triangles)
 
 
 def _check_finite(vertices: np.ndarray) -> None:
@@ -143,9 +129,9 @@ def load_obj(data: bytes | str) -> Mesh:
             raise MeshFormatError("face repeats a vertex", lineno)
         for a, b in zip(idx[1:], idx[2:]):
             triangles.append((idx[0], a, b))
-    return Mesh._checked(
-        np.array(vertices, dtype=np.float64).reshape(-1, 3),
-        np.array(triangles, dtype=np.int64).reshape(-1, 3),
+    return Mesh._trusted(
+        vertices=np.array(vertices, dtype=np.float64).reshape(-1, 3),
+        triangles=np.array(triangles, dtype=np.int64).reshape(-1, 3),
     )
 
 
@@ -261,7 +247,8 @@ def transform_mesh(seed: Mesh, g: Q8Element, pole: Pole) -> Mesh:
         projected = stereo_project(unprojected_part_points(seed, g), pole)
     except PoleProximityError as exc:
         raise PoleProximityError(f"seed {exc} under element {g.name}") from None
-    return seed._with_vertices(projected)
+    _check_finite(projected)
+    return Mesh._trusted(vertices=projected, triangles=seed.triangles)
 
 
 class SculptureBundle(Record):
@@ -307,7 +294,7 @@ def merge_meshes(meshes: Sequence[Mesh]) -> Mesh:
         vertices.append(mesh.vertices)
         triangles.append(mesh.triangles + offset)
         offset += mesh.n_vertices
-    return Mesh._checked(np.concatenate(vertices), np.concatenate(triangles))
+    return Mesh._trusted(vertices=np.concatenate(vertices), triangles=np.concatenate(triangles))
 
 
 def generate_sculpture(seed: Mesh, pole: Pole, scale: float = 1.0) -> SculptureBundle:

@@ -50,10 +50,7 @@ class Pole(Record):
             raise ValueError("pole coordinates must be finite")
         if abs(float(np.linalg.norm(p)) - 1.0) > UNIT_NORM_TOL:
             raise ValueError("pole must be a unit vector")
-        p.setflags(write=False)
-        basis = _hyperplane_basis(p)
-        basis.setflags(write=False)
-        self._store(p=p, basis=basis)
+        self._store(p=p, basis=_hyperplane_basis(p))
 
 
 def default_pole() -> Pole:

@@ -45,14 +45,14 @@ class Record:
     """Base of the package's immutable records.
 
     A record's ``__init__`` validates its fields and stores them once, with
-    :meth:`_store`; assigning or deleting an attribute afterwards raises
-    AttributeError.  ``__match_args__`` names the fields in the order
-    ``__init__`` takes them, for the repr and for ``match``.  Equality and
-    hashing are by identity; :class:`ValueRecord` compares fields.  Plain
-    classes, because a dataclass compiles generated source for every class
-    at each start; a result that checks nothing is a ``NamedTuple``.
-    :meth:`_trusted` skips ``__init__``: its caller vouches that the fields
-    pass every check there, in the form it stores (arrays read-only).
+    :meth:`_store`, which makes every array field read-only; assigning or
+    deleting an attribute afterwards raises AttributeError.  The fields of
+    ``__match_args__`` are in ``__init__``'s order, for the repr and for
+    ``match``.  Equality and hashing are by identity; :class:`ValueRecord`
+    compares fields.  Plain classes, because a dataclass compiles generated
+    source for every class at each start; a result that checks nothing is a
+    ``NamedTuple``.  :meth:`_trusted` skips ``__init__``: its caller vouches
+    that the fields pass every check there, and hands their arrays over.
     """
 
     __slots__ = ()
@@ -67,6 +67,8 @@ class Record:
 
     def _store(self, **fields: object) -> None:
         for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
@@ -259,9 +261,7 @@ class Isometry4(Record):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.max(np.abs(m @ m.T - np.eye(4))) <= ORTHOGONALITY_TOL:
             raise ValueError("matrix is not orthogonal within tolerance")
-        m = m.copy()
-        m.setflags(write=False)
-        self._store(m=m)
+        self._store(m=m.copy())
 
     @property
     def is_orientation_preserving(self) -> bool:

@@ -72,7 +72,6 @@ class PointCloud4(Record):
         worst = float(np.max(np.abs(norms - 1.0)))
         if not worst <= UNIT_NORM_TOL:
             raise ValueError(f"points must lie on the unit sphere (off by {worst:.3g})")
-        pts.setflags(write=False)
         self._store(points=pts)
 
     def __len__(self) -> int:

@@ -42,6 +42,16 @@ def test_standard_block_decorations():
     assert assemble_hypercube(block).valid
 
 
+def test_blocks_hash_by_value_and_keep_their_own_faces():
+    block = standard_block()
+    assert hash(block) == hash(standard_block())
+    assert len({block, block.transform(np.eye(3, dtype=np.int64))}) == 1
+    faces = dict(block.faces)
+    own = DecoratedBlock(faces)
+    faces[(0, 1)] = faces[(0, 1)].mirrored()
+    assert own == block and own.faces[(0, 1)] == block.faces[(0, 1)]
+
+
 def test_well_formedness_catches_violations():
     """A wrong turn or a wrong motif on one face fails that face's axis."""
     block = standard_block()

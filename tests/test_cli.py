@@ -781,6 +781,24 @@ def test_stats_reads_a_seed_with_a_byte_order_mark(tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_verify_reads_a_cloud_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(PointCloud4(orbit_cloud(demo_seed())).to_json())
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for cloud in (plain, marked):
+        assert run(["verify", "--cloud", str(cloud), "--out", str(tmp_path / f"{cloud.stem}-report.json")]) == 0
+    assert (tmp_path / "marked-report.json").read_bytes() == (tmp_path / "plain-report.json").read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_refuses_a_cloud_that_is_not_utf8(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"points": [[1, 0, 0, 0]], "note": "caf\xe9"}')
+    assert run(["verify", "--cloud", str(latin1)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("q8sculpt: error: input-error:") and "utf-8" in err[0]
+
+
 # --- each threshold, from just inside to just outside ------------------------
 
 

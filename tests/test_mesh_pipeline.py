@@ -9,7 +9,7 @@ import pytest
 
 from q8sculpt import mesh_pipeline, symmetry
 from q8sculpt.blocks import block_seed, standard_block
-from q8sculpt.hypercube import contact_transfer_matrix, sixteen_cell
+from q8sculpt.hypercube import contact_transfer_matrix, hyperoctahedral_candidates, sixteen_cell
 from q8sculpt.mesh_pipeline import (
     FLOAT32_MAX,
     Mesh,
@@ -30,7 +30,7 @@ from q8sculpt.mesh_pipeline import (
     write_stl,
 )
 from q8sculpt.projection import PoleProximityError, default_pole, radial_to_s3, stereo_project, stereo_unproject
-from q8sculpt.quat import I, ONE, Q8_ELEMENTS, Quaternion, UnitQuaternion, q8_mul, q8_right_matrix_int, right_mul_matrix
+from q8sculpt.quat import I, ONE, Q8_ELEMENTS, Isometry4, Quaternion, UnitQuaternion, q8_mul, q8_right_matrix_int, right_mul_matrix
 from q8sculpt.symmetry import (
     DEFAULT_TOL,
     PointCloud4,
@@ -165,6 +165,44 @@ def test_records_refuse_assignment(demo_mesh):
             record.extra = None
         again = pickle.loads(pickle.dumps(record))
         assert type(again) is type(record) and repr(again) == repr(record)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda seed: Mesh(seed.vertices, seed.triangles),
+        lambda seed: load_obj(write_obj(seed)),
+        lambda seed: merge_meshes([seed, seed]),
+        lambda seed: seed.scaled(2.0),
+        lambda seed: transform_mesh(seed, I, default_pole()),
+        lambda seed: PointCloud4(orbit_cloud(seed)),
+        lambda seed: PointCloud4.from_json(PointCloud4(orbit_cloud(seed)).to_json()),
+        lambda seed: default_pole(),
+        lambda seed: Isometry4(np.eye(4)),
+        lambda seed: hyperoctahedral_candidates()[5],
+    ],
+    ids=[
+        "Mesh",
+        "load_obj",
+        "merge_meshes",
+        "Mesh.scaled",
+        "transform_mesh",
+        "PointCloud4",
+        "PointCloud4.from_json",
+        "Pole",
+        "Isometry4",
+        "hyperoctahedral_candidates",
+    ],
+)
+def test_record_arrays_are_read_only_whichever_constructor_built_them(demo_mesh, build):
+    record = build(demo_mesh)
+    fields = [name for name in record.__slots__ if isinstance(getattr(record, name), np.ndarray)]
+    assert fields
+    for name in fields:
+        array = getattr(record, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_stl_layout():
