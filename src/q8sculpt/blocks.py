@@ -29,6 +29,7 @@ hypercube boundary.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -99,17 +100,21 @@ class FaceDecoration(ValueRecord):
 
 class DecoratedBlock(ValueRecord):
     """A cube with one decoration per face, keyed by (axis, sign), in a
-    dict of its own; hashed by the six decorations in ``FACES`` order."""
+    read-only mapping of its own; hashed by the six decorations in ``FACES``
+    order."""
 
     __slots__ = __match_args__ = ("faces",)
 
     def __init__(self, faces: dict[tuple[int, int], FaceDecoration]) -> None:
         if set(faces) != set(FACES):
             raise ValueError("a block needs exactly the six cube faces")
-        self._store(faces=dict(faces))
+        self._store(faces=MappingProxyType(dict(faces)))
 
     def __hash__(self) -> int:
         return hash(tuple(self.faces[face] for face in FACES))
+
+    def __reduce__(self) -> tuple:
+        return DecoratedBlock, (dict(self.faces),)  # a mapping proxy does not pickle
 
     def face(self, axis: int, sign: int) -> FaceDecoration:
         return self.faces[(axis, sign)]

@@ -102,7 +102,7 @@ class PointCloud4(Record):
                 except OverflowError:
                     raise ValueError(f"cloud point {k} has a coordinate beyond the float range") from None
             raise
-        return cls(array)
+        return cls(array.reshape(len(points), 4))  # no points: shape (0, 4), not (0,)
 
     def to_json(self) -> str:
         """``json.dumps({"points": self.points.tolist()})``, byte for byte.

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import pickle
 from collections import namedtuple
 
 import numpy as np
@@ -50,6 +51,15 @@ def test_blocks_hash_by_value_and_keep_their_own_faces():
     own = DecoratedBlock(faces)
     faces[(0, 1)] = faces[(0, 1)].mirrored()
     assert own == block and own.faces[(0, 1)] == block.faces[(0, 1)]
+
+
+def test_a_checked_block_cannot_be_changed_through_its_faces():
+    block = standard_block()
+    blocks = {block}
+    with pytest.raises(TypeError):
+        block.faces[(0, 1)] = block.faces[(0, 1)].mirrored()
+    assert block in blocks and assemble_hypercube(block).valid
+    assert pickle.loads(pickle.dumps(block)) == block == DecoratedBlock(block.faces)
 
 
 def test_well_formedness_catches_violations():

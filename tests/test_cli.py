@@ -1,10 +1,12 @@
 import gc
 import json
 import math
+import shlex
 import subprocess
 import sys
 import warnings
 
+import cli_cases
 import numpy as np
 import pytest
 
@@ -12,19 +14,14 @@ from q8sculpt import mesh_pipeline
 from q8sculpt.cli import main
 from q8sculpt.hypercube import contact_transfer_matrix, sixteen_cell
 from q8sculpt.mesh_pipeline import (
-    FLOAT32_MAX,
-    SEED_DOMAIN_TOL,
     Mesh,
     demo_seed,
     face_contact_check,
-    feature_stats,
-    generate_sculpture,
     load_obj,
     merge_meshes,
     orbit_cloud,
     write_obj,
 )
-from q8sculpt.projection import POLE_PROXIMITY_TOL, default_pole, radial_to_s3
 from q8sculpt.symmetry import PointCloud4
 
 
@@ -78,7 +75,7 @@ def test_verify_sixteen_cell_fails_with_384(tmp_path, capsys):
     assert run(["verify", "--cloud", str(cloud_path), "--out", str(report_path)]) == 1
     assert json.loads(report_path.read_text())["symmetry_count"] == 384
     err = capsys.readouterr().err
-    assert err.startswith("q8sculpt: error: verification-failure:")
+    assert err.startswith("q8sculpt: error: verification-failure: 384 candidate symmetries survive")
     assert err.count("\n") == 1
 
 
@@ -573,8 +570,9 @@ def test_a_cloud_coordinate_that_is_not_a_number_is_exit_2(tmp_path, capsys, poi
             '{"points": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1' + "0" * 400 + ", 0]]}",
             "cloud point 2 has a coordinate beyond the float range",
         ),
+        ('{"points": []}', "point cloud is empty"),
     ],
-    ids=["nested-100000-deep", "401-digit-integer", "401-digit-integer-in-point-2"],
+    ids=["nested-100000-deep", "401-digit-integer", "401-digit-integer-in-point-2", "no-points"],
 )
 def test_a_cloud_json_beyond_the_decoder_is_exit_2(tmp_path, capsys, text, reason):
     cloud = tmp_path / "cloud.json"
@@ -760,6 +758,19 @@ def test_decorated_block_is_a_seed(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_a_block_with_its_x_face_mirrored_fails_the_contact_audit_on_x(tmp_path, capsys):
+    from q8sculpt.blocks import DecoratedBlock, block_seed, standard_block
+
+    faces = dict(standard_block().faces)
+    faces[(0, 1)] = faces[(0, 1)].mirrored()
+    seed_path = tmp_path / "mirrored-block.obj"
+    seed_path.write_bytes(write_obj(block_seed(DecoratedBlock(faces))))
+    assert run(["check-seed", "--seed", str(seed_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "q8sculpt: error: verification-failure: seed face contact fails on axes ['x']"
+    ]
+
+
 def test_a_pole_with_a_negative_first_coordinate_is_passed_with_equals(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["generate", "--seed", "demo", "--out", str(out), "--pole=-0.5,0.5,0.5,0.5"]) == 0
@@ -799,138 +810,59 @@ def test_verify_refuses_a_cloud_that_is_not_utf8(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("q8sculpt: error: input-error:") and "utf-8" in err[0]
 
 
-# --- each threshold, from just inside to just outside ------------------------
+# --- the case table: every row, in process ------------------------------------
 
 
-def _seed_obj(tmp_path, vertices):
-    """An OBJ of the demo seed's triangles on these vertices, at repr precision."""
-    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in vertices.tolist()]
-    lines += [f"f {a} {b} {c}" for a, b, c in (demo_seed().triangles + 1).tolist()]
-    path = tmp_path / "seed.obj"
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
+@pytest.fixture(scope="module")
+def case_table(tmp_path_factory):
+    """The directory that holds the table's ``inputs``, and its rows."""
+    base = tmp_path_factory.mktemp("cases")
+    return base, cli_cases.write(base / "inputs")
 
 
-def _check_seed_with_neighbour(gap):
-    """check-seed on the demo seed plus a vertex ``gap`` from anchor 0."""
-
-    def argv(tmp_path):
-        vertices = demo_seed().vertices
-        return ["check-seed", "--seed", _seed_obj(tmp_path, np.vstack([vertices, vertices[0] + [gap, 0, 0]]))]
-
-    return argv
-
-
-def _check_seed_with_contact_at(x):
-    """check-seed on the demo seed with its first +x face contact moved to this x."""
-
-    def argv(tmp_path):
-        vertices = demo_seed().vertices.copy()
-        vertices[3, 0] = x
-        return ["check-seed", "--seed", _seed_obj(tmp_path, vertices)]
-
-    return argv
+def _breaches(row, cwd, capsys, monkeypatch):
+    """How ``row``, run through ``main`` in the fresh directory ``cwd``,
+    breaks the command contract (``cli_cases.breaches``)."""
+    cwd.mkdir(parents=True)
+    monkeypatch.chdir(cwd)
+    try:
+        code = main(list(row.argv))
+    except SystemExit as exc:  # --version, --help and usage errors
+        code = exc.code
+    return cli_cases.breaches(row, code, capsys.readouterr().err, cli_cases.written(cwd))
 
 
-def _verify_sixteen_cell(tol):
-    """verify on the 16-cell, whose separation is sqrt(2), at this tolerance."""
-
-    def argv(tmp_path):
-        cloud = tmp_path / "cloud.json"
-        cloud.write_text(PointCloud4(sixteen_cell().vertices.astype(float)).to_json())
-        return ["verify", "--cloud", str(cloud), "--tol", repr(tol)]
-
-    return argv
-
-
-def _generate_with_pole_from_vertex_0(chord):
-    """generate on the demo seed, the pole this chordal distance from its lifted vertex 0."""
-
-    def argv(tmp_path):
-        p = radial_to_s3(demo_seed().vertices[0])
-        away = np.array([0.0, 0.0, 0.0, 1.0]) - p[3] * p
-        away /= np.linalg.norm(away)
-        angle = 2.0 * math.asin(chord / 2.0)
-        pole = math.cos(angle) * p + math.sin(angle) * away
-        return ["generate", "--seed", "demo", "--pole=" + ",".join(map(repr, pole.tolist()))]
-
-    return argv
-
-
-def _demo_extent_and_shortest_edge():
-    merged = generate_sculpture(demo_seed(), default_pole()).merged
-    return float(np.max(np.abs(merged.vertices))), feature_stats(merged)["min_edge"]
-
-
-def _generate_at_scale(fmt, of_threshold, factor):
-    """generate on the demo seed at ``factor`` times the scale that puts the
-    sculpture's extent at the float32 maximum, or its shortest edge at the
-    smallest normal float32."""
-
-    def argv(tmp_path):
-        extent, shortest = _demo_extent_and_shortest_edge()
-        scale = FLOAT32_MAX / extent if of_threshold == "max" else float(np.finfo(np.float32).tiny) / shortest
-        return ["generate", "--seed", "demo", "--format", fmt, "--scale", repr(scale * factor)]
-
-    return argv
-
-
-def _generate_with_min_feature(factor):
-    """generate on the demo seed with ``factor`` times the --min-feature
-    whose scale puts the sculpture's extent at the float32 maximum."""
-
-    def argv(tmp_path):
-        extent, shortest = _demo_extent_and_shortest_edge()
-        return ["generate", "--seed", "demo", "--min-feature", repr(FLOAT32_MAX / extent * shortest * factor)]
-
-    return argv
-
-
-_HALF_SQRT2 = 0.5 * math.sqrt(2.0)
-
-_THRESHOLDS = {
-    "verify-tol-below-half-separation": (_verify_sixteen_cell(math.nextafter(_HALF_SQRT2, 0.0)), 1),
-    "verify-tol-at-half-separation": (_verify_sixteen_cell(_HALF_SQRT2), 2),
-    "verify-2tol-below-float-max": (_verify_sixteen_cell(8e307), 2),
-    "verify-2tol-above-float-max": (_verify_sixteen_cell(1e308), 2),
-    "check-seed-separation-above-2tol": (_check_seed_with_neighbour(2e-6 * (1 + 1e-3)), 0),
-    "check-seed-separation-below-2tol": (_check_seed_with_neighbour(2e-6 * (1 - 1e-3)), 2),
-    "check-seed-contact-within-tol-of-face": (_check_seed_with_contact_at(1.0 - 1e-6 * (1 - 1e-3)), 0),
-    "check-seed-contact-beyond-tol-of-face": (_check_seed_with_contact_at(1.0 - 1e-6 * (1 + 1e-3)), 1),
-    "check-seed-overshoot-within-domain-tol": (_check_seed_with_contact_at(1.0 + SEED_DOMAIN_TOL * (1 - 1e-3)), 0),
-    "check-seed-overshoot-beyond-domain-tol": (_check_seed_with_contact_at(1.0 + SEED_DOMAIN_TOL * (1 + 1e-3)), 2),
-    "generate-pole-beyond-proximity-tol": (_generate_with_pole_from_vertex_0(POLE_PROXIMITY_TOL * (1 + 1e-3)), 0),
-    "generate-pole-within-proximity-tol": (_generate_with_pole_from_vertex_0(POLE_PROXIMITY_TOL * (1 - 1e-3)), 3),
-    "generate-obj-below-float32-max": (_generate_at_scale("obj", "max", 1 - 1e-6), 0),
-    "generate-obj-above-float32-max": (_generate_at_scale("obj", "max", 1 + 1e-6), 2),
-    "generate-stl-below-float32-max": (_generate_at_scale("stl", "max", 1 - 1e-6), 0),
-    "generate-stl-above-float32-max": (_generate_at_scale("stl", "max", 1 + 1e-6), 2),
-    "generate-obj-edge-below-float32-tiny": (_generate_at_scale("obj", "tiny", 1 - 1e-6), 0),
-    "generate-obj-edge-above-float32-tiny": (_generate_at_scale("obj", "tiny", 1 + 1e-6), 0),
-    "generate-stl-edge-below-float32-tiny": (_generate_at_scale("stl", "tiny", 1 - 1e-6), 2),
-    "generate-stl-edge-above-float32-tiny": (_generate_at_scale("stl", "tiny", 1 + 1e-6), 0),
-    "generate-min-feature-below-float32-max": (_generate_with_min_feature(1 - 1e-6), 0),
-    "generate-min-feature-above-float32-max": (_generate_with_min_feature(1 + 1e-6), 2),
-}
-
-
-@pytest.mark.parametrize("name", list(_THRESHOLDS))
-def test_each_threshold_keeps_the_command_contract(tmp_path, capsys, name):
-    """Just inside and just outside each threshold, a command exits with a
-    documented code; a failure prints one error line, exit 1 exactly with a
+def test_every_row_keeps_the_command_contract(case_table, capsys, monkeypatch):
+    """Every row of the case table but the threshold rows (each its own test
+    below), run through ``main`` at the runner's relative paths, exits with
+    the row's code; a failure prints one error line, exit 1 exactly with a
     verification failure, and every JSON file written is strict JSON."""
-    build, expected = _THRESHOLDS[name]
-    out = tmp_path / "out"
-    code = run([*build(tmp_path), "--out", str(out)])
-    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("q8sculpt: error:")]
-    assert code in (0, 1, 2, 3)
-    assert len(errors) == (code != 0)
-    assert (code == 1) == any(line.startswith("q8sculpt: error: verification-failure:") for line in errors)
-    written = [out] if out.is_file() else sorted(out.glob("*.json"))
-    assert written or code != 0
-    for path in written:
-        json.loads(path.read_text(), parse_constant=_reject_constant)
-    assert code == expected
+    base, rows = case_table
+    broken = []
+    for k, row in enumerate(rows):
+        if not row.name:
+            found = _breaches(row, base / "run" / f"{k:03d}", capsys, monkeypatch)
+            broken += [f"{shlex.join(row.argv)}: {'; '.join(found)}"] if found else []
+    assert broken == []
+
+
+@pytest.mark.parametrize("name", list(cli_cases.THRESHOLDS))
+def test_each_threshold_keeps_the_command_contract(case_table, capsys, monkeypatch, name):
+    """Just inside and just outside each threshold, the table's row keeps
+    the command contract, as every other row does."""
+    base, rows = case_table
+    (row,) = [row for row in rows if row.name == name]
+    assert _breaches(row, base / "threshold" / name, capsys, monkeypatch) == []
+
+
+def test_the_case_table_keeps_its_reach(case_table):
+    """The rows run every command, --version, --help and a usage error, and
+    give each documented exit code."""
+    rows = case_table[1]
+    commands = {"generate", "verify", "check-seed", "stats", "cayley"}
+    assert {row.argv[0] for row in rows} == commands | {"--version", "--help"}
+    assert cli_cases.Row(("verify",), 2) in rows  # no --cloud
+    assert {row.code for row in rows} == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("tol", [9e307, 1e308])
